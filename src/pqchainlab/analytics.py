@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .bench import CSV_COLUMNS, RunAggregate, read_master_summary
 from .config import AnalysisConfig
@@ -449,24 +448,25 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
     The centered values are rescaled by their largest magnitude before the
     products; this leaves the result unchanged algebraically but keeps the
-    sums out of under/overflow territory for extreme inputs.
+    sums out of under/overflow territory for extreme inputs.  Sums use
+    ``math.fsum``, so they are correctly rounded.
     """
     if len(x) != len(y) or len(x) < 3:
         raise ValueError("need at least 3 paired observations")
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
-    sx = float(np.abs(dx).max())
-    sy = float(np.abs(dy).max())
+    mx = math.fsum(x) / len(x)
+    my = math.fsum(y) / len(y)
+    dx = [v - mx for v in x]
+    dy = [v - my for v in y]
+    sx = max(map(abs, dx))
+    sy = max(map(abs, dy))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("degenerate variance")
-    dx /= sx
-    dy /= sy
-    denom = float(np.sqrt((dx * dx).sum() * (dy * dy).sum()))
+    dx = [v / sx for v in dx]
+    dy = [v / sy for v in dy]
+    denom = math.sqrt(math.fsum(v * v for v in dx) * math.fsum(v * v for v in dy))
     if denom == 0.0:
         raise ValueError("degenerate variance")
-    return float((dx * dy).sum() / denom)
+    return math.fsum(a * b for a, b in zip(dx, dy)) / denom
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:

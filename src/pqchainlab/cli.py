@@ -59,11 +59,13 @@ def _parse_runs(text: str) -> tuple[int, Optional[int]]:
     return int(text), None
 
 
-def write_manifest(path: Path, seed: bytes, scenarios: list[Scenario], policy: str, now: int) -> None:
+def write_manifest(
+    path: Path, seed_hex: Optional[str], scenarios: list[Scenario], policy: str, now: int
+) -> None:
     manifest = {
         "tool": "pqchainlab",
         "version": __version__,
-        "seed_hex": seed.hex(),
+        "seed_hex": seed_hex,
         "issuance_epoch": now,
         "policy": policy,
         "scenario_ids": [s.display_id for s in scenarios],
@@ -117,6 +119,9 @@ def _provision_one(payload: tuple[dict, str, bytes, int]) -> str:
 
 
 def cmd_provision(args) -> int:
+    # Issuance needs mldsa (and NumPy); import it once here so that the
+    # pool's forked workers inherit it instead of each importing it.
+    from .crypto import mldsa  # noqa: F401
     from .scenario import scenario_to_dict
 
     scenarios = _select(_load_matrix(args.scenarios), args.select, args.campaign)
@@ -132,8 +137,16 @@ def cmd_provision(args) -> int:
     else:
         for payload in payloads:
             print(f"provisioned {_provision_one(payload)}")
-    write_manifest(out_dir / "manifest.json", seed, scenarios, policy="n/a", now=args.now)
+    write_manifest(out_dir / "manifest.json", seed.hex(), scenarios, policy="n/a", now=args.now)
     return EXIT_OK
+
+
+def _pki_seed_hex(pki_dir: Path) -> Optional[str]:
+    """The seed recorded in ``<pki_dir>/manifest.json``; None if there is no manifest."""
+    try:
+        return json.loads((pki_dir / "manifest.json").read_text())["seed_hex"]
+    except FileNotFoundError:
+        return None
 
 
 def cmd_bench(args) -> int:
@@ -161,7 +174,7 @@ def cmd_bench(args) -> int:
     bench.write_master_summary(aggregates, out_dir / "master_summary.csv")
     write_manifest(
         out_dir / "manifest.json",
-        _parse_seed(args.seed),
+        _pki_seed_hex(Path(args.pki)),
         scenarios,
         policy=args.policy,
         now=args.now,
@@ -426,7 +439,6 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", help="override run counts: N or FAST/HEAVY (e.g. 50/20)")
     p.add_argument("--warmup", type=int, help="warmup connections to discard")
     p.add_argument("--policy", choices=["mirror", "full", "leaf"], default="mirror")
-    p.add_argument("--seed", default="706b692d6c6162")
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW)
     p.set_defaults(func=cmd_bench)
 

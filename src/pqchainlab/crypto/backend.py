@@ -6,10 +6,16 @@ implementation.  Certificate issuance needs reproducible bytes, so the
 deterministic signing paths route through :mod:`pqchainlab.crypto.mldsa`
 (the backend's ML-DSA signer is hedged) and the deterministic SLH-DSA
 variant.  Handshake-time signing uses the hedged/backend paths.
+
+:mod:`~pqchainlab.crypto.mldsa`, and with it NumPy, is imported on the
+first deterministic ML-DSA signature, so processes that never issue a
+certificate do not load it.  Each ML-DSA issuer seed is expanded at most
+once per process: the expanded key is memoised by seed.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -20,9 +26,15 @@ from cryptography.hazmat.primitives.asymmetric import mlkem as _pyca_mlkem
 from cryptography.hazmat.primitives.asymmetric import x25519 as _pyca_x25519
 
 from ..scenario import KexMode, SigFamily
-from . import mldsa, slhdsa
+from . import slhdsa
 
 RandomBytes = Callable[[int], bytes]
+
+# FIPS 204 ML-DSA-65 sizes, kept here so that importing the backend does
+# not import :mod:`.mldsa`.
+MLDSA_SEED_BYTES = 32
+MLDSA_PUBLIC_KEY_BYTES = 1952
+MLDSA_SIGNATURE_BYTES = 3309
 
 
 class CryptoError(Exception):
@@ -39,10 +51,10 @@ class SigParams:
 
 SIG_PARAMS = {
     SigFamily.ML_DSA_65: SigParams(
-        seed_len=mldsa.SEED_BYTES,
-        public_key_len=mldsa.PUBLIC_KEY_BYTES,
-        secret_key_len=mldsa.SEED_BYTES,  # stored in seed form
-        signature_len=mldsa.SIGNATURE_BYTES,
+        seed_len=MLDSA_SEED_BYTES,
+        public_key_len=MLDSA_PUBLIC_KEY_BYTES,
+        secret_key_len=MLDSA_SEED_BYTES,  # stored in seed form
+        signature_len=MLDSA_SIGNATURE_BYTES,
     ),
     SigFamily.SLH_DSA_SHAKE_192S: SigParams(
         seed_len=slhdsa.SEED_BYTES,
@@ -90,6 +102,14 @@ def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
         raise CryptoError(f"keypair generation failed: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=16)
+def _expanded_mldsa_key(seed: bytes):
+    """Expanded deterministic ML-DSA secret for ``seed``, one expansion per issuer key."""
+    from . import mldsa
+
+    return mldsa.keygen_from_seed(seed)[1]
+
+
 class Signer:
     """Reusable signing handle; construction cost is paid once per key."""
 
@@ -118,8 +138,9 @@ class Signer:
         try:
             if self._slh is not None:
                 return slhdsa.sign(self._slh, message)
-            _, expanded = mldsa.keygen_from_seed(self._secret)
-            return mldsa.sign_deterministic(expanded, message)
+            from . import mldsa
+
+            return mldsa.sign_deterministic(_expanded_mldsa_key(self._secret), message)
         except Exception as exc:
             raise CryptoError(f"signing failed: {exc}") from exc
 
@@ -131,7 +152,7 @@ def sign(keypair: KeyPair, message: bytes, deterministic: bool = False) -> bytes
 
 def verify(alg: SigFamily, public_key: bytes, message: bytes, signature: bytes) -> bool:
     if alg is SigFamily.ML_DSA_65:
-        if len(signature) != mldsa.SIGNATURE_BYTES:
+        if len(signature) != MLDSA_SIGNATURE_BYTES:
             return False
         try:
             _pyca_mldsa.MLDSA65PublicKey.from_public_bytes(public_key).verify(

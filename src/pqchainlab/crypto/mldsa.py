@@ -7,8 +7,12 @@ from a provisioning seed, so this module provides the deterministic
 variant (keygen from a 32-byte seed, signing with the zero hedge) in
 NumPy.  Keys and signatures interoperate with the backend: a key derived
 here from seed ``xi`` equals ``MLDSA65PrivateKey.from_seed_bytes(xi)``,
-and signatures produced here verify under that backend.  Throughput is a
-few milliseconds per signature, which is irrelevant off the hot path.
+and signatures produced here verify under that backend.
+
+Only issuance needs this module: :mod:`.backend` imports it (and so
+NumPy) on the first deterministic ML-DSA signature and expands each issuer
+seed once per process.  The NTTs transform a whole vector of polynomials
+per call.  A signature takes a few milliseconds, off the hot path.
 """
 
 from __future__ import annotations
@@ -55,33 +59,35 @@ def _shake128(data: bytes, n: int) -> bytes:
 
 
 def _ntt(a: np.ndarray) -> np.ndarray:
+    """Forward NTT of every polynomial in ``a``, shaped ``(..., 256)``."""
     a = a.copy()
     length = 128
     m = 1
     while length >= 1:
         nblocks = 256 // (2 * length)
-        z = _ZETAS[m : m + nblocks]
-        v = a.reshape(nblocks, 2, length)
-        t = (z[:, None] * v[:, 1, :]) % Q
-        v[:, 1, :] = (v[:, 0, :] - t) % Q
-        v[:, 0, :] = (v[:, 0, :] + t) % Q
+        z = _ZETAS[m : m + nblocks, None]
+        v = a.reshape(-1, nblocks, 2, length)
+        t = (z * v[:, :, 1, :]) % Q
+        v[:, :, 1, :] = (v[:, :, 0, :] - t) % Q
+        v[:, :, 0, :] = (v[:, :, 0, :] + t) % Q
         m += nblocks
         length //= 2
     return a
 
 
 def _intt(a: np.ndarray) -> np.ndarray:
+    """Inverse NTT of every polynomial in ``a``, shaped ``(..., 256)``."""
     a = a.copy()
     length = 1
     m = 256
     while length < 256:
         nblocks = 256 // (2 * length)
         # block j of this layer uses zeta index m-1-j
-        z = _ZETAS[m - nblocks : m][::-1]
-        v = a.reshape(nblocks, 2, length)
-        t = v[:, 0, :].copy()
-        v[:, 0, :] = (t + v[:, 1, :]) % Q
-        v[:, 1, :] = ((t - v[:, 1, :]) * (Q - z[:, None])) % Q
+        z = _ZETAS[m - nblocks : m][::-1, None]
+        v = a.reshape(-1, nblocks, 2, length)
+        t = v[:, :, 0, :].copy()
+        v[:, :, 0, :] = (t + v[:, :, 1, :]) % Q
+        v[:, :, 1, :] = ((t - v[:, :, 1, :]) * (Q - z)) % Q
         m -= nblocks
         length *= 2
     return (a * _F_INV256) % Q
@@ -228,6 +234,12 @@ class _SecretKey:
     a_hat: np.ndarray
     public_key: bytes
 
+    def __post_init__(self):
+        # backend memoises expanded keys and hands one object to every signer
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
 
 def keygen_from_seed(xi: bytes) -> tuple[bytes, _SecretKey]:
     """Derive (public key bytes, expanded secret) from a 32-byte seed."""
@@ -237,8 +249,8 @@ def keygen_from_seed(xi: bytes) -> tuple[bytes, _SecretKey]:
     rho, rho_prime, big_k = h[:32], h[32:96], h[96:]
     a_hat = _expand_a(rho)
     s1, s2 = _expand_s(rho_prime)
-    s1_hat = np.stack([_ntt(p % Q) for p in s1])
-    t = np.stack([_intt(p) for p in _matvec_ntt(a_hat, s1_hat)]) + s2
+    s1_hat = _ntt(s1 % Q)
+    t = _intt(_matvec_ntt(a_hat, s1_hat)) + s2
     t1, t0 = _power2round(t)
     pk = rho + b"".join(_pack_bits(t1[i], 10) for i in range(K))
     tr = _shake256(pk, 64)
@@ -247,8 +259,8 @@ def keygen_from_seed(xi: bytes) -> tuple[bytes, _SecretKey]:
         big_k=big_k,
         tr=tr,
         s1_hat=s1_hat,
-        s2_hat=np.stack([_ntt(p % Q) for p in s2]),
-        t0_hat=np.stack([_ntt(p % Q) for p in t0]),
+        s2_hat=_ntt(s2 % Q),
+        t0_hat=_ntt(t0 % Q),
         a_hat=a_hat,
         public_key=pk,
     )
@@ -270,13 +282,13 @@ def sign_deterministic(sk: _SecretKey, message: bytes, ctx: bytes = b"") -> byte
     while True:
         y = _expand_mask(rho2, kappa)
         kappa += L
-        y_hat = np.stack([_ntt(p % Q) for p in y])
-        w = np.stack([_intt(p) for p in _matvec_ntt(sk.a_hat, y_hat)])
+        y_hat = _ntt(y % Q)
+        w = _intt(_matvec_ntt(sk.a_hat, y_hat))
         w1, _ = _decompose(w)
         c_tilde = _shake256(mu + _w1_encode(w1), LAMBDA // 4)
         c_hat = _ntt(_sample_in_ball(c_tilde) % Q)
-        cs1 = np.stack([_intt((c_hat * p) % Q) for p in sk.s1_hat])
-        cs2 = np.stack([_intt((c_hat * p) % Q) for p in sk.s2_hat])
+        cs1 = _intt((c_hat * sk.s1_hat) % Q)
+        cs2 = _intt((c_hat * sk.s2_hat) % Q)
         z = y + _mod_pm(cs1, Q)
         if _inf_norm(z) >= GAMMA1 - BETA:
             continue
@@ -284,8 +296,7 @@ def sign_deterministic(sk: _SecretKey, message: bytes, ctx: bytes = b"") -> byte
         _, r0 = _decompose(wcs2)
         if int(np.abs(r0).max()) >= GAMMA2 - BETA:
             continue
-        ct0 = np.stack([_intt((c_hat * p) % Q) for p in sk.t0_hat])
-        ct0 = _mod_pm(ct0, Q)
+        ct0 = _mod_pm(_intt((c_hat * sk.t0_hat) % Q), Q)
         if _inf_norm(ct0) >= GAMMA2:
             continue
         v1 = _decompose(wcs2)[0]

@@ -83,8 +83,6 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def _tick_label(value: float) -> str:
-    if value >= 1 or value <= 0:
-        return f"{value:g}"
     return f"{value:g}"
 
 

@@ -76,7 +76,8 @@ def test_provision_and_bench_small(tmp_path):
     samples = (results / f"{ids[0]}.jsonl").read_text().splitlines()
     assert len(samples) == 5
     assert (results / "master_summary.csv").exists()
-    assert (results / "manifest.json").exists()
+    # the results manifest records the seed that provisioned the PKI
+    assert json.loads((results / "manifest.json").read_text())["seed_hex"] == "0abc"
 
 
 def test_bench_full_policy_depth3_serves_three(tmp_path):

@@ -1,8 +1,13 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from cryptography.hazmat.primitives.asymmetric import mldsa as pyca_mldsa
 
+import pqchainlab
 from pqchainlab.crypto import backend, mldsa, slhdsa
 from pqchainlab.scenario import KexMode, SigFamily
 
@@ -53,6 +58,60 @@ class TestMlDsa:
     def test_bad_seed_length(self):
         with pytest.raises(backend.CryptoError):
             backend.generate_keypair(SigFamily.ML_DSA_65, b"short")
+
+    def test_batched_ntt_matches_per_polynomial(self):
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, mldsa.Q, size=(2, 3, 256), dtype=np.int64)
+        for fn in (mldsa._ntt, mldsa._intt):
+            rows = np.array([[fn(p) for p in vec] for vec in x])
+            assert np.array_equal(fn(x), rows)
+        assert np.array_equal(mldsa._intt(mldsa._ntt(x)), x)
+
+    def test_backend_sizes_match_mldsa(self):
+        params = backend.SIG_PARAMS[SigFamily.ML_DSA_65]
+        assert params.seed_len == mldsa.SEED_BYTES
+        assert params.public_key_len == mldsa.PUBLIC_KEY_BYTES
+        assert params.signature_len == mldsa.SIGNATURE_BYTES
+
+    def test_numpy_loads_only_for_deterministic_ml_signing(self):
+        code = (
+            "import sys\n"
+            "import pqchainlab.bench, pqchainlab.cli, pqchainlab.handshake, pqchainlab.pki\n"
+            "from pqchainlab.crypto import backend\n"
+            "from pqchainlab.scenario import SigFamily\n"
+            "print('numpy' in sys.modules)\n"
+            "kp = backend.generate_keypair(SigFamily.ML_DSA_65, bytes(32))\n"
+            "backend.sign(kp, b'm', deterministic=True)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.split() == ["False", "True"]
+
+    def test_issuer_key_expanded_once(self, monkeypatch):
+        calls = []
+        original = mldsa.keygen_from_seed
+
+        def counting(seed):
+            calls.append(seed)
+            return original(seed)
+
+        # patched on the module, as a tracer would
+        monkeypatch.setattr(mldsa, "keygen_from_seed", counting)
+        backend._expanded_mldsa_key.cache_clear()
+        pair = backend.generate_keypair(SigFamily.ML_DSA_65, ML_SEED)
+        for msg in (b"first", b"second"):
+            sig = backend.sign(pair, msg, deterministic=True)
+            assert backend.verify(SigFamily.ML_DSA_65, pair.public_key, msg, sig)
+        assert calls == [ML_SEED]
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,23 @@ from pqchainlab.pki import ServedChainPolicy
 from pqchainlab.scenario import KexMode
 
 
+# Helper threads are daemons joined with this timeout, so a failing test
+# cannot leave one blocked and keep the test run from exiting.
+JOIN_TIMEOUT_S = 60.0
+
+
+def _start_thread(target, *args):
+    thread = threading.Thread(target=target, args=args, daemon=True)
+    thread.start()
+    return thread
+
+
+def _join(*threads):
+    for thread in threads:
+        thread.join(JOIN_TIMEOUT_S)
+        assert not thread.is_alive(), f"{thread.name} still running after {JOIN_TIMEOUT_S} s"
+
+
 def _loopback_pair():
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
@@ -36,8 +53,7 @@ def run_handshake(hierarchy, kex, policy=ServedChainPolicy.MIRROR, tamper=None, 
             except Exception as exc:  # surfaced by the client-side assertion
                 server_error["e"] = exc
 
-    thread = threading.Thread(target=server)
-    thread.start()
+    thread = _start_thread(server)
     try:
         sock = socket.create_connection(("127.0.0.1", port))
         with sock:
@@ -47,7 +63,7 @@ def run_handshake(hierarchy, kex, policy=ServedChainPolicy.MIRROR, tamper=None, 
                 pki.client_trust_store(hierarchy, policy) if trust is None else trust,
             )
     finally:
-        thread.join()
+        _join(thread)
         listener.close()
     return client, server_result.get("r"), server_error.get("e")
 
@@ -214,15 +230,14 @@ def test_unsupported_group(ml_d3_hierarchy):
             except hs.HandshakeError as exc:
                 caught["e"] = exc
 
-    thread = threading.Thread(target=server)
-    thread.start()
+    thread = _start_thread(server)
     sock = socket.create_connection(("127.0.0.1", port))
     with sock:
         try:
             hs.client_handshake(sock, KexMode.HYBRID, h.trust_store)
         except hs.HandshakeError:
             pass
-    thread.join()
+    _join(thread)
     listener.close()
     assert isinstance(caught["e"], hs.UnsupportedGroup)
 
@@ -243,31 +258,32 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy):
 
                 records.append(json.loads(line))
 
-    reader_thread = threading.Thread(target=reader)
-    reader_thread.start()
+    reader_thread = _start_thread(reader)
     ctrl_client = socket.create_connection(("127.0.0.1", ctrl_port))
-
-    server_thread = threading.Thread(
-        target=hs.run_server, args=(listener, material, ctrl_client, 4)
-    )
-    server_thread.start()
+    server_thread = _start_thread(hs.run_server, listener, material, ctrl_client, 4)
 
     # 1: good, 2: malformed (bad type byte), 3-4: good again
     outcomes = []
     for i in range(4):
-        sock = socket.create_connection(("127.0.0.1", port))
+        sock = socket.create_connection(("127.0.0.1", port), timeout=JOIN_TIMEOUT_S)
         with sock:
             if i == 1:
                 sock.sendall(b"\x99\x00\x00\x00\x01Z")
-                sock.shutdown(socket.SHUT_WR)
+                # The server rejects the header and closes, possibly before it
+                # reads the last byte; then the close arrives as a reset.
+                try:
+                    while sock.recv(4096):
+                        pass
+                except ConnectionResetError:
+                    pass
                 outcomes.append("malformed")
             else:
                 result = hs.client_handshake(sock, KexMode.HYBRID, h.trust_store)
                 outcomes.append("ok")
                 assert result.observation.chain_len_unique == 2
-    server_thread.join()
+    _join(server_thread)
     ctrl_client.close()
-    reader_thread.join()
+    _join(reader_thread)
     ctrl_server.close()
     listener.close()
 
@@ -290,8 +306,7 @@ def test_tampering_client_failure_is_client_side(ml_d3_hierarchy):
         with conn:
             result["r"] = hs.server_handshake(conn, material)
 
-    thread = threading.Thread(target=server)
-    thread.start()
+    thread = _start_thread(server)
     sock = socket.create_connection(("127.0.0.1", port))
     with sock:
         conn = hs.Conn(sock)
@@ -304,6 +319,6 @@ def test_tampering_client_failure_is_client_side(ml_d3_hierarchy):
         for msg_type in (2, 3, 4, 5):
             conn.recv_msg(msg_type)
         conn.send_msg(6, bytes(32))  # wrong MAC on purpose
-    thread.join()
+    _join(thread)
     listener.close()
     assert result["r"].client_finished_ok is False

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -217,3 +218,24 @@ def test_key_file_format(tmp_path, ml_d3_hierarchy):
     raw = (tmp_path / "leaf.key").read_bytes()
     assert raw[:2] == (1).to_bytes(2, "big")  # ML-DSA-65 algorithm id
     assert raw[2:] == h.leaf[1].secret_key
+
+
+# SHA-256 over the length-prefixed certificates of the inventory scenarios
+# whose certificates ML-DSA keys issue, built from conftest SEED at
+# DEFAULT_NOW.  It pins deterministic ML-DSA issuance byte for byte: a
+# change to mldsa.py or to issuance that alters any certificate fails here,
+# even though a rebuild would still agree with itself.
+ML_ISSUED_GOLDEN_SHA256 = "fc933d56359585d2578ff4fe64157e0be3aded8af386322f1ebb0e01c61c3fff"
+
+
+def test_ml_issued_certificates_match_golden_bytes(matrix):
+    ml = SigFamily.ML_DSA_65
+    scenarios = [
+        s for s in matrix if s.placement.root is ml and s.placement.intermediate in (None, ml)
+    ]
+    assert len(scenarios) == 7
+    digest = hashlib.sha256()
+    for s in scenarios:
+        for cert in build_hierarchy(s, SEED, now=DEFAULT_NOW).certificates():
+            digest.update(len(cert.encoded).to_bytes(4, "big") + cert.encoded)
+    assert digest.hexdigest() == ML_ISSUED_GOLDEN_SHA256
