@@ -15,11 +15,11 @@ import csv
 import enum
 import math
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .bench import CSV_COLUMNS, RunAggregate, read_master_summary
+from .bench import CSV_COLUMNS, RunAggregate, read_master_summary, write_rows
 from .config import AnalysisConfig
 from .scenario import (
     Placement,
@@ -643,7 +643,8 @@ class CapacityRow:
     conceptual_perf_group: str
 
 
-def capacity_model(rows: Sequence[RunAggregate], baseline_id: str) -> list[CapacityRow]:
+def _capacity_rows(rows: Sequence[RunAggregate], baseline_id: str) -> list[CapacityRow]:
+    """Server capacity per row, in input order; the capacity and economic tables share it."""
     base = _Rows(rows).require(baseline_id)
     if base.server_task_ms <= 0:
         raise ValueError("baseline server task clock must be positive")
@@ -666,8 +667,11 @@ def capacity_model(rows: Sequence[RunAggregate], baseline_id: str) -> list[Capac
                 conceptual_perf_group=conceptual_perf_group(_placement(row)),
             )
         )
-    out.sort(key=lambda r: -r.handshakes_per_core_second)
     return out
+
+
+def capacity_model(rows: Sequence[RunAggregate], baseline_id: str) -> list[CapacityRow]:
+    return sorted(_capacity_rows(rows, baseline_id), key=lambda r: -r.handshakes_per_core_second)
 
 
 # --- economic model --------------------------------------------------------------
@@ -697,21 +701,21 @@ def economic_model(
     base = _Rows(rows).require(cfg.baseline_id)
     base_cost = (base.server_task_ms * 1000.0 / 3600.0) * cfg.price_per_cpu_hour
     out = []
-    for row in rows:
+    for row, capacity in zip(rows, _capacity_rows(rows, cfg.baseline_id)):
         cpu_seconds = row.server_task_ms / 1000.0
         cpu_hours_per_million = cpu_seconds * 1e6 / 3600.0
         cost = cpu_hours_per_million * cfg.price_per_cpu_hour
-        retained = base.server_task_ms / row.server_task_ms
+        retained = capacity.capacity_retained_vs_baseline
         out.append(
             EconomicRow(
                 scenario_id=row.scenario_id,
-                conceptual_economic_class=conceptual_perf_group(_placement(row)),
+                conceptual_economic_class=capacity.conceptual_perf_group,
                 server_cpu_seconds_per_handshake=cpu_seconds,
-                handshakes_per_cpu_second=1000.0 / row.server_task_ms,
-                handshakes_per_cpu_hour=3600.0 * 1000.0 / row.server_task_ms,
+                handshakes_per_cpu_second=capacity.handshakes_per_core_second,
+                handshakes_per_cpu_hour=capacity.handshakes_per_vcpu_hour,
                 capacity_retained_vs_baseline=retained,
                 capacity_loss_pct=(1.0 - retained) * 100.0,
-                infrastructure_multiplier_needed=1.0 / retained,
+                infrastructure_multiplier_needed=capacity.infrastructure_multiplier_needed,
                 cpu_hours_per_million=cpu_hours_per_million,
                 cost_per_million=cost,
                 extra_cost_per_million=cost - base_cost,
@@ -847,28 +851,6 @@ def plausibility_rank(
 
 
 # --- report writing ------------------------------------------------------------------
-
-
-def write_rows(rows: Sequence, path: Path | str) -> None:
-    """CSV writer for any homogeneous dataclass row list (4-decimal floats)."""
-    if not rows:
-        Path(path).write_text("")
-        return
-    cols = [f.name for f in fields(rows[0])]
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for col in cols:
-            value = getattr(row, col)
-            if isinstance(value, float):
-                cells.append(f"{value:.4f}")
-            else:
-                text = str(value)
-                if "," in text or '"' in text:
-                    text = '"' + text.replace('"', '""') + '"'
-                cells.append(text)
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def run_all(

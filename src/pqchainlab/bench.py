@@ -11,7 +11,6 @@ handshake is in flight at any moment.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import multiprocessing
 import os
@@ -19,44 +18,11 @@ import socket
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import handshake as hs
 from . import pki
 from .scenario import Scenario, SigFamily
-
-CSV_COLUMNS = [
-    "scenario_id",
-    "kex_mode",
-    "depth",
-    "campaign",
-    "n_runs",
-    "mean_ms",
-    "p95_ms",
-    "bytes_read",
-    "bytes_written",
-    "chain_len_unique",
-    "chain_bytes_unique",
-    "served_chain_der_bytes",
-    "client_task_ms",
-    "server_task_ms",
-    "client_over_elapsed",
-    "server_over_elapsed",
-    "srv_cli_ratio",
-]
-
-_FLOAT_COLUMNS = {
-    "mean_ms",
-    "p95_ms",
-    "bytes_read",
-    "bytes_written",
-    "client_task_ms",
-    "server_task_ms",
-    "client_over_elapsed",
-    "server_over_elapsed",
-    "srv_cli_ratio",
-}
-
 
 class ScenarioFailed(Exception):
     """A handshake failed mid-campaign; the scenario's data is discarded."""
@@ -130,6 +96,9 @@ class RunAggregate:
     client_over_elapsed: float
     server_over_elapsed: float
     srv_cli_ratio: float
+
+
+CSV_COLUMNS = [f.name for f in fields(RunAggregate)]
 
 
 @dataclass
@@ -318,20 +287,26 @@ def read_samples(path: Path | str) -> list[HandshakeSample]:
     return out
 
 
-def format_value(column: str, value) -> str:
-    if column in _FLOAT_COLUMNS:
-        return f"{value:.4f}"
-    return str(value)
-
-
-def write_master_summary(aggregates: list[RunAggregate], path: Path | str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for agg in aggregates:
-        row = asdict(agg)
-        writer.writerow([format_value(col, row[col]) for col in CSV_COLUMNS])
-    Path(path).write_text(buf.getvalue())
+def write_rows(rows: Sequence, path: Path | str) -> None:
+    """CSV for a homogeneous dataclass row list (4-decimal floats): master summary, analytics."""
+    if not rows:
+        Path(path).write_text("")
+        return
+    cols = [f.name for f in fields(rows[0])]
+    lines = [",".join(cols)]
+    for row in rows:
+        cells = []
+        for col in cols:
+            value = getattr(row, col)
+            if isinstance(value, float):
+                cells.append(f"{value:.4f}")
+            else:
+                text = str(value)
+                if "," in text or '"' in text:
+                    text = '"' + text.replace('"', '""') + '"'
+                cells.append(text)
+        lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_master_summary(path: Path | str) -> list[RunAggregate]:

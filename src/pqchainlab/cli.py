@@ -171,7 +171,7 @@ def cmd_bench(args) -> int:
             f"{scenario.display_id}: {agg.n_runs} runs, mean {agg.mean_ms:.3f} ms, "
             f"srv/cli {agg.srv_cli_ratio:.3f} ({time.perf_counter() - t0:.1f}s)"
         )
-    bench.write_master_summary(aggregates, out_dir / "master_summary.csv")
+    bench.write_rows(aggregates, out_dir / "master_summary.csv")
     write_manifest(
         out_dir / "manifest.json",
         _pki_seed_hex(Path(args.pki)),
@@ -388,7 +388,7 @@ def cmd_reproduce(args) -> int:
         print(f"  measured {scenario.display_id}: {aggregates[-1].mean_ms:.3f} ms mean")
     results_dir = out_dir / "results"
     results_dir.mkdir(exist_ok=True)
-    bench.write_master_summary(aggregates, results_dir / "master_summary.csv")
+    bench.write_rows(aggregates, results_dir / "master_summary.csv")
 
     print("== property gates over live data ==")
     ok &= live_property_checks(aggregates)

@@ -19,6 +19,12 @@ where absent key-exchange components contribute nothing, and
 ``finished_key = SHA256("fk" || master)``.  CertificateVerify signs
 ``SHA256("pqchainlab-cv" || th(Certificate))``; the Finished MACs are
 HMAC-SHA256 over the running transcript hash.
+
+The protocol lives in :func:`client_flow` and :func:`server_flow`, which
+do no I/O and own the transcript, the byte counts and every check on peer
+input, frame headers included.  :func:`client_handshake` and
+:func:`server_handshake` drive them over a socket; tests drive them
+against each other in memory.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ import socket
 import struct
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
 from . import pki
 from .crypto import backend
-from .crypto.backend import RandomBytes, Signer
+from .crypto.backend import CryptoError, RandomBytes, Signer
 from .pki import CertificateRecord, HierarchyMaterial, PathError, ServedChainPolicy
 from .scenario import KexMode
 
@@ -47,6 +53,11 @@ MSG_SERVER_FINISHED = 5
 MSG_CLIENT_FINISHED = 6
 
 _HEADER = struct.Struct(">BI")
+
+# A flow yields each frame it sends as soon as the frame exists, yields
+# None to receive the peer's next whole frame (passed in with ``send``),
+# and returns its side's result.
+Flow = Generator[Optional[bytes], bytes, object]
 
 GROUP_IDS = {
     KexMode.CLASSICAL: 0x001D,
@@ -111,19 +122,10 @@ def derive_secrets(
 
 
 class Conn:
-    """Framed messaging over a socket with byte accounting."""
+    """Reads whole frames off a socket."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.transcript = hashlib.sha256()
-
-    def send_msg(self, msg_type: int, body: bytes) -> None:
-        frame = _HEADER.pack(msg_type, len(body)) + body
-        self.sock.sendall(frame)
-        self.bytes_written += len(frame)
-        self.transcript.update(frame)
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = []
@@ -134,22 +136,46 @@ class Conn:
                 raise Malformed("connection closed mid-message")
             chunks.append(chunk)
             remaining -= len(chunk)
-        self.bytes_read += n
         return b"".join(chunks)
 
-    def recv_msg(self, expected_type: int) -> bytes:
+    def recv_msg(self) -> bytes:
+        """Block until one whole frame has arrived; returns it, header included."""
         header = self._recv_exact(_HEADER.size)
-        msg_type, length = _HEADER.unpack(header)
-        if msg_type != expected_type:
-            raise Malformed(f"expected message type {expected_type}, got {msg_type}")
+        _, length = _HEADER.unpack(header)
         if length > 1 << 24:
             raise Malformed("oversized message")
-        body = self._recv_exact(length)
-        self.transcript.update(header + body)
-        return body
+        return header + self._recv_exact(length)
 
-    def transcript_hash(self) -> bytes:
-        return self.transcript.copy().digest()
+
+class _Transcript:
+    """One side's running transcript hash and byte counts."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.bytes_read = 0
+        self.bytes_written = 0
+
+    def send(self, msg_type: int, body: bytes) -> bytes:
+        frame = _HEADER.pack(msg_type, len(body)) + body
+        self.bytes_written += len(frame)
+        self.hash.update(frame)
+        return frame
+
+    def recv(self, frame: bytes, expected_type: int) -> bytes:
+        """Check a peer frame's header and return its body."""
+        if len(frame) < _HEADER.size:
+            raise Malformed("truncated frame header")
+        msg_type, length = _HEADER.unpack_from(frame)
+        if msg_type != expected_type:
+            raise Malformed(f"expected message type {expected_type}, got {msg_type}")
+        if length != len(frame) - _HEADER.size:
+            raise Malformed("frame length does not match its header")
+        self.bytes_read += len(frame)
+        self.hash.update(frame)
+        return frame[_HEADER.size :]
+
+    def digest(self) -> bytes:
+        return self.hash.copy().digest()
 
 
 def encode_certificate_msg(chain: list[CertificateRecord]) -> bytes:
@@ -181,6 +207,25 @@ def _cv_message(th_certificate: bytes) -> bytes:
     return hashlib.sha256(CV_CONTEXT + th_certificate).digest()
 
 
+def _finished_mac(secrets: SessionSecrets, transcript_hash: bytes) -> bytes:
+    return hmac.new(secrets.finished_key, transcript_hash, hashlib.sha256).digest()
+
+
+def _drive(sock: socket.socket, flow: Flow):
+    """Run a flow over a socket: send each frame it yields, read each frame it asks for."""
+    conn = Conn(sock)
+    try:
+        out = next(flow)
+        while True:
+            if out is None:
+                out = flow.send(conn.recv_msg())
+            else:
+                sock.sendall(out)
+                out = next(flow)
+    except StopIteration as done:
+        return done.value
+
+
 # --- client -------------------------------------------------------------
 
 
@@ -192,29 +237,27 @@ class ClientResult:
     bytes_written: int
 
 
-def client_handshake(
-    sock: socket.socket,
+def client_flow(
     kex: KexMode,
     trust_store: list[CertificateRecord],
     now: int = pki.DEFAULT_NOW,
     rng: RandomBytes = os.urandom,
-) -> ClientResult:
-    """Run the client side on a connected socket; raises HandshakeError."""
-    conn = Conn(sock)
+) -> Flow:
+    """The client side as a flow; returns a ClientResult, raises HandshakeError."""
+    t = _Transcript()
     share, state = backend.client_share(kex, rng)
-    conn.send_msg(
-        MSG_CLIENT_HELLO, rng(32) + struct.pack(">H", GROUP_IDS[kex]) + share
-    )
+    yield t.send(MSG_CLIENT_HELLO, rng(32) + struct.pack(">H", GROUP_IDS[kex]) + share)
 
-    sh = conn.recv_msg(MSG_SERVER_HELLO)
-    if len(sh) != 32 + backend.server_share_len(kex):
-        raise Malformed("bad ServerHello length")
-    classical_ss, kem_ss = backend.client_complete_kex(state, sh[32:])
-    secrets = derive_secrets(classical_ss, kem_ss, conn.transcript_hash())
+    sh = t.recv((yield), MSG_SERVER_HELLO)
+    try:  # a short ServerHello fails the backend's length check
+        classical_ss, kem_ss = backend.client_complete_kex(state, sh[32:])
+    except (CryptoError, ValueError) as exc:  # pyca refuses some shares with ValueError
+        raise Malformed(f"bad server key share: {exc}") from exc
+    secrets = derive_secrets(classical_ss, kem_ss, t.digest())
 
-    cert_body = conn.recv_msg(MSG_CERTIFICATE)
+    cert_body = t.recv((yield), MSG_CERTIFICATE)
     served = decode_certificate_msg(cert_body)
-    th_cert = conn.transcript_hash()
+    th_cert = t.digest()
     observation = ChainObservation(
         chain_len_unique=pki.chain_len_unique(served),
         chain_bytes_unique=pki.chain_bytes_unique(served),
@@ -226,20 +269,28 @@ def client_handshake(
         raise ChainRejected(exc) from exc
 
     leaf = served[0]
-    cv = conn.recv_msg(MSG_CERT_VERIFY)
+    cv = t.recv((yield), MSG_CERT_VERIFY)
     if not backend.verify(leaf.key_family, leaf.public_key, _cv_message(th_cert), cv):
         raise BadCertVerify("CertificateVerify does not verify under the leaf key")
 
-    th_cv = conn.transcript_hash()
-    sf = conn.recv_msg(MSG_SERVER_FINISHED)
-    if not hmac.compare_digest(sf, hmac.new(secrets.finished_key, th_cv, hashlib.sha256).digest()):
+    th_cv = t.digest()
+    sf = t.recv((yield), MSG_SERVER_FINISHED)
+    if not hmac.compare_digest(sf, _finished_mac(secrets, th_cv)):
         raise BadFinished("ServerFinished MAC mismatch")
 
-    conn.send_msg(
-        MSG_CLIENT_FINISHED,
-        hmac.new(secrets.finished_key, conn.transcript_hash(), hashlib.sha256).digest(),
-    )
-    return ClientResult(secrets, observation, conn.bytes_read, conn.bytes_written)
+    yield t.send(MSG_CLIENT_FINISHED, _finished_mac(secrets, t.digest()))
+    return ClientResult(secrets, observation, t.bytes_read, t.bytes_written)
+
+
+def client_handshake(
+    sock: socket.socket,
+    kex: KexMode,
+    trust_store: list[CertificateRecord],
+    now: int = pki.DEFAULT_NOW,
+    rng: RandomBytes = os.urandom,
+) -> ClientResult:
+    """Run the client side on a connected socket; raises HandshakeError."""
+    return _drive(sock, client_flow(kex, trust_store, now, rng))
 
 
 # --- server -------------------------------------------------------------
@@ -268,40 +319,49 @@ class ServerResult:
     client_finished_ok: bool
 
 
-def server_handshake(
-    sock: socket.socket, material: ServerMaterial, rng: RandomBytes = os.urandom
-) -> ServerResult:
-    """Serve one handshake on an accepted socket; raises HandshakeError."""
-    conn = Conn(sock)
-    hello = conn.recv_msg(MSG_CLIENT_HELLO)
+def server_flow(material: ServerMaterial, rng: RandomBytes = os.urandom) -> Flow:
+    """The server side as a flow; returns a ServerResult, raises HandshakeError."""
+    t = _Transcript()
+    hello = t.recv((yield), MSG_CLIENT_HELLO)
     if len(hello) < 34:
         raise Malformed("short ClientHello")
     (group_id,) = struct.unpack_from(">H", hello, 32)
     mode = _GROUP_BY_ID.get(group_id)
     if mode is None or mode is not material.kex:
         raise UnsupportedGroup(f"group 0x{group_id:04x} not enabled for this scenario")
-    share = hello[34:]
 
-    server_share, classical_ss, kem_ss = backend.server_respond_kex(mode, share, rng)
-    conn.send_msg(MSG_SERVER_HELLO, rng(32) + server_share)
-    secrets = derive_secrets(classical_ss, kem_ss, conn.transcript_hash())
+    try:
+        server_share, classical_ss, kem_ss = backend.server_respond_kex(mode, hello[34:], rng)
+    except (CryptoError, ValueError) as exc:  # pyca refuses some shares with ValueError
+        raise Malformed(f"bad client key share: {exc}") from exc
+    yield t.send(MSG_SERVER_HELLO, rng(32) + server_share)
+    secrets = derive_secrets(classical_ss, kem_ss, t.digest())
 
-    conn.send_msg(MSG_CERTIFICATE, encode_certificate_msg(material.chain))
-    th_cert = conn.transcript_hash()
-    conn.send_msg(MSG_CERT_VERIFY, material.leaf_signer.sign(_cv_message(th_cert)))
+    # Each frame goes out as soon as it exists, so the client validates
+    # the chain while the server signs CertificateVerify.
+    yield t.send(MSG_CERTIFICATE, encode_certificate_msg(material.chain))
+    th_cert = t.digest()
+    yield t.send(MSG_CERT_VERIFY, material.leaf_signer.sign(_cv_message(th_cert)))
+    yield t.send(MSG_SERVER_FINISHED, _finished_mac(secrets, t.digest()))
 
-    th_cv = conn.transcript_hash()
-    conn.send_msg(
-        MSG_SERVER_FINISHED, hmac.new(secrets.finished_key, th_cv, hashlib.sha256).digest()
-    )
+    th_sf = t.digest()
+    cf = t.recv((yield), MSG_CLIENT_FINISHED)
+    ok = hmac.compare_digest(cf, _finished_mac(secrets, th_sf))
+    return ServerResult(secrets, t.bytes_read, t.bytes_written, ok)
 
-    th_sf = conn.transcript_hash()
-    cf = conn.recv_msg(MSG_CLIENT_FINISHED)
-    ok = hmac.compare_digest(cf, hmac.new(secrets.finished_key, th_sf, hashlib.sha256).digest())
-    return ServerResult(secrets, conn.bytes_read, conn.bytes_written, ok)
+
+def server_handshake(
+    sock: socket.socket, material: ServerMaterial, rng: RandomBytes = os.urandom
+) -> ServerResult:
+    """Serve one handshake on an accepted socket; raises HandshakeError."""
+    return _drive(sock, server_flow(material, rng))
 
 
 # --- serving loop with control channel ----------------------------------
+
+# A connection that stalls this long on one read or write is dropped, so
+# a silent client cannot hold up the sequential server.
+CONNECTION_TIMEOUT_S = 30.0
 
 
 def run_server(
@@ -331,6 +391,7 @@ def run_server(
         record = None
         try:
             with sock:
+                sock.settimeout(CONNECTION_TIMEOUT_S)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 cpu0 = time.thread_time_ns()
                 result = server_handshake(sock, material, rng)

@@ -103,7 +103,10 @@ def encode_certificate(tbs: bytes, signature: bytes) -> bytes:
 
 
 class CodecError(ValueError):
-    """Certificate bytes do not parse or are not canonical."""
+    """Certificate bytes do not parse, are not canonical or name an unknown algorithm."""
+
+
+_ALG_IDS = {family.alg_id for family in SigFamily}
 
 
 def decode_certificate(data: bytes) -> CertificateRecord:
@@ -139,6 +142,8 @@ def decode_certificate(data: bytes) -> CertificateRecord:
             raise CodecError("trailing tbs bytes")
     except (struct.error, UnicodeDecodeError) as exc:
         raise CodecError(f"malformed certificate: {exc}") from exc
+    if {sig_alg_id, pk_alg_id} - _ALG_IDS:
+        raise CodecError(f"unknown algorithm id in ({sig_alg_id}, {pk_alg_id})")
 
     record = CertificateRecord(
         version=version,

@@ -1,11 +1,56 @@
+import struct
+from collections import deque
+
 import pytest
 
+from pqchainlab import handshake as hs
 from pqchainlab import pki
 from pqchainlab.scenario import enumerate_matrix, find_scenario
 
 SEED = bytes.fromhex("a5" * 32)
 
 acceptance_lines: list[str] = []
+
+
+def pump(client, server, tamper=None):
+    """Run a client flow against a server flow in memory; no sockets or threads.
+
+    ``tamper(msg_type, body) -> body`` may rewrite any frame in either
+    direction; the rewritten frame's length field follows the new body.
+    Returns ``(client_result, server_result, frames)``, where ``frames``
+    lists every frame delivered, in wire order.  The first HandshakeError
+    either flow raises propagates.
+    """
+    flows, inboxes, frames, results = (client, server), (deque(), deque()), [], {}
+    outs = [next(client), next(server)]
+    while len(results) < 2:
+        progressed = False
+        for side in (0, 1):
+            try:
+                while side not in results and (outs[side] is not None or inboxes[side]):
+                    out = outs[side]
+                    if out is None:
+                        outs[side] = flows[side].send(inboxes[side].popleft())
+                    else:
+                        if tamper is not None:
+                            body = tamper(out[0], out[5:])
+                            out = out[:1] + struct.pack(">I", len(body)) + body
+                        inboxes[1 - side].append(out)
+                        frames.append(out)
+                        outs[side] = next(flows[side])
+                    progressed = True
+            except StopIteration as stop:
+                results[side], progressed = stop.value, True
+        assert progressed, "both flows wait for a frame"
+    return results[0], results[1], frames
+
+
+def run_handshake(hierarchy, kex, policy=pki.ServedChainPolicy.MIRROR, tamper=None, trust=None):
+    """One in-memory handshake over a hierarchy; returns what :func:`pump` returns."""
+    material = hs.ServerMaterial.from_hierarchy(hierarchy, kex, policy)
+    if trust is None:
+        trust = pki.client_trust_store(hierarchy, policy)
+    return pump(hs.client_flow(kex, trust), hs.server_flow(material), tamper)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -13,9 +13,6 @@ several minutes of SLH-DSA signing time.
 """
 
 import random
-import socket
-import struct
-import threading
 
 import pytest
 
@@ -253,62 +250,13 @@ def test_criterion_6_transport_crypto_dissociation(live_sweep):
 # --- criterion 7: handshake correctness -------------------------------------
 
 
-def _loopback_handshake(hierarchy, kex, policy, tamper=None):
-    material = hs.ServerMaterial.from_hierarchy(hierarchy, kex, policy)
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
-    box = {}
-
-    def server():
-        conn, _ = listener.accept()
-        with conn:
-            try:
-                if tamper is None:
-                    box["server"] = hs.server_handshake(conn, material)
-                else:
-                    box["server"] = _tamper_server(conn, material, tamper)
-            except Exception as exc:
-                box["error"] = exc
-
-    thread = threading.Thread(target=server)
-    thread.start()
-    try:
-        sock = socket.create_connection(("127.0.0.1", port))
-        with sock:
-            client = hs.client_handshake(sock, kex, pki.client_trust_store(hierarchy, policy))
-    finally:
-        thread.join()
-        listener.close()
-    return client, box.get("server")
-
-
-def _tamper_server(conn, material, tamper):
-    class Rewriter:
-        def __init__(self, sock):
-            self._sock = sock
-
-        def sendall(self, frame):
-            body = tamper(frame[0], frame[5:])
-            self._sock.sendall(frame[:1] + struct.pack(">I", len(body)) + body)
-
-        def recv(self, n):
-            return self._sock.recv(n)
-
-        def setsockopt(self, *a):
-            pass
-
-    return hs.server_handshake(Rewriter(conn), material)
-
-
 @pytest.mark.slow
 def test_criterion_7_handshake_correctness(pki_all, matrix17):
     completed = 0
     for scenario in matrix17:
         hierarchy = pki.load_hierarchy(pki_all / scenario.display_id)
         for policy in ServedChainPolicy:
-            client, server = _loopback_handshake(hierarchy, scenario.kex, policy)
+            client, server, _ = conftest.run_handshake(hierarchy, scenario.kex, policy)
             assert client.secrets.master_secret == server.secrets.master_secret, (
                 scenario.display_id,
                 policy,
@@ -336,7 +284,7 @@ def test_criterion_7_handshake_correctness(pki_all, matrix17):
                 return body
 
             with pytest.raises(hs.HandshakeError):
-                _loopback_handshake(hierarchy, fast.kex, ServedChainPolicy.MIRROR, tamper)
+                conftest.run_handshake(hierarchy, fast.kex, ServedChainPolicy.MIRROR, tamper)
             rejected += 1
     assert rejected == 20
     _ok("7 handshake-correctness", f"{completed} untampered handshakes OK, {rejected}/20 tampers rejected")

@@ -14,7 +14,7 @@ from pqchainlab.bench import (
     percentile_nearest_rank,
     read_master_summary,
     read_samples,
-    write_master_summary,
+    write_rows,
     write_samples,
 )
 from pqchainlab.scenario import find_scenario
@@ -130,7 +130,7 @@ def test_master_summary_roundtrip(tmp_path, mini_run):
     s, samples = mini_run
     agg = aggregate(s, samples)
     path = tmp_path / "master_summary.csv"
-    write_master_summary([agg], path)
+    write_rows([agg], path)
     (loaded,) = read_master_summary(path)
     assert loaded.scenario_id == agg.scenario_id
     assert loaded.n_runs == agg.n_runs
@@ -141,7 +141,7 @@ def test_master_summary_roundtrip(tmp_path, mini_run):
 
 def test_master_summary_header_superset(tmp_path, mini_run):
     s, samples = mini_run
-    write_master_summary([aggregate(s, samples)], tmp_path / "m.csv")
+    write_rows([aggregate(s, samples)], tmp_path / "m.csv")
     header = (tmp_path / "m.csv").read_text().splitlines()[0].split(",")
     required = {
         "scenario_id",

@@ -1,12 +1,16 @@
 import hashlib
+import json
+import random
 import socket
 import struct
 import threading
 
 import pytest
+from conftest import pump, run_handshake
 
 from pqchainlab import handshake as hs
 from pqchainlab import pki
+from pqchainlab.crypto import backend
 from pqchainlab.pki import ServedChainPolicy
 from pqchainlab.scenario import KexMode
 
@@ -35,65 +39,10 @@ def _loopback_pair():
     return listener, listener.getsockname()[1]
 
 
-def run_handshake(hierarchy, kex, policy=ServedChainPolicy.MIRROR, tamper=None, trust=None):
-    """Run client+server over loopback; ``tamper(msg_type, body) -> body`` can
-    rewrite server messages in flight."""
-    material = hs.ServerMaterial.from_hierarchy(hierarchy, kex, policy)
-    listener, port = _loopback_pair()
-    server_result, server_error = {}, {}
-
-    def server():
-        conn, _ = listener.accept()
-        with conn:
-            try:
-                if tamper is None:
-                    server_result["r"] = hs.server_handshake(conn, material)
-                else:
-                    server_result["r"] = _tampering_server(conn, material, tamper)
-            except Exception as exc:  # surfaced by the client-side assertion
-                server_error["e"] = exc
-
-    thread = _start_thread(server)
-    try:
-        sock = socket.create_connection(("127.0.0.1", port))
-        with sock:
-            client = hs.client_handshake(
-                sock,
-                kex,
-                pki.client_trust_store(hierarchy, policy) if trust is None else trust,
-            )
-    finally:
-        _join(thread)
-        listener.close()
-    return client, server_result.get("r"), server_error.get("e")
-
-
-def _tampering_server(conn, material, tamper):
-    """Server that runs the honest protocol but rewrites chosen messages."""
-
-    class Rewriter:
-        def __init__(self, sock):
-            self._sock = sock
-
-        def sendall(self, frame):
-            msg_type = frame[0]
-            body = tamper(msg_type, frame[5:])
-            self._sock.sendall(frame[:1] + struct.pack(">I", len(body)) + body)
-
-        def recv(self, n):
-            return self._sock.recv(n)
-
-        def setsockopt(self, *a):
-            pass
-
-    return hs.server_handshake(Rewriter(conn), material)
-
-
 @pytest.mark.parametrize("kex", list(KexMode))
 def test_roundtrip_all_kex_modes(ml_d3_hierarchy, kex):
     _, h = ml_d3_hierarchy
-    client, server, err = run_handshake(h, kex)
-    assert err is None
+    client, server, _ = run_handshake(h, kex)
     assert client.secrets.master_secret == server.secrets.master_secret
     assert client.secrets.finished_key == server.secrets.finished_key
     assert server.client_finished_ok
@@ -102,8 +51,6 @@ def test_roundtrip_all_kex_modes(ml_d3_hierarchy, kex):
 
 def test_client_hello_keyshare_lengths():
     for kex, expect in [(KexMode.CLASSICAL, 32), (KexMode.HYBRID, 1216), (KexMode.PURE_PQC, 1184)]:
-        from pqchainlab.crypto import backend
-
         share, _ = backend.client_share(kex)
         assert len(share) == expect
 
@@ -219,106 +166,137 @@ def test_unknown_anchor_rejected(ml_d3_hierarchy):
 def test_unsupported_group(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     material = hs.ServerMaterial.from_hierarchy(h, KexMode.CLASSICAL, ServedChainPolicy.MIRROR)
-    listener, port = _loopback_pair()
-    caught = {}
-
-    def server():
-        conn, _ = listener.accept()
-        with conn:
-            try:
-                hs.server_handshake(conn, material)
-            except hs.HandshakeError as exc:
-                caught["e"] = exc
-
-    thread = _start_thread(server)
-    sock = socket.create_connection(("127.0.0.1", port))
-    with sock:
-        try:
-            hs.client_handshake(sock, KexMode.HYBRID, h.trust_store)
-        except hs.HandshakeError:
-            pass
-    _join(thread)
-    listener.close()
-    assert isinstance(caught["e"], hs.UnsupportedGroup)
+    with pytest.raises(hs.UnsupportedGroup):
+        pump(hs.client_flow(KexMode.HYBRID, h.trust_store), hs.server_flow(material))
 
 
-def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy):
+def _client_hello(share):
+    body = bytes(32) + struct.pack(">H", hs.GROUP_IDS[KexMode.HYBRID]) + share
+    return struct.pack(">BI", hs.MSG_CLIENT_HELLO, len(body)) + body
+
+
+def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
     _, h = ml_d3_hierarchy
+    monkeypatch.setattr(hs, "CONNECTION_TIMEOUT_S", 1.0)
     material = hs.ServerMaterial.from_hierarchy(h, KexMode.HYBRID, ServedChainPolicy.MIRROR)
+    share, _ = backend.client_share(KexMode.HYBRID)
+    hostile = {
+        "bad type byte": b"\x99\x00\x00\x00\x01Z",
+        "short key share": _client_hello(share[:-1]),
+        "all-0xFF ML-KEM key": _client_hello(share[:32] + b"\xff" * backend.MLKEM_EK_LEN),
+        "all-zero X25519 share": _client_hello(bytes(32) + share[32:]),
+        "silent client": b"",
+    }
+    # An honest handshake before and after each hostile connection.
+    plan = ["ok"] + [step for name in hostile for step in (name, "ok")]
+
     listener, port = _loopback_pair()
     ctrl_server, ctrl_port = _loopback_pair()
-
     records = []
 
     def reader():
         conn, _ = ctrl_server.accept()
         with conn, conn.makefile("r") as f:
             for line in f:
-                import json
-
                 records.append(json.loads(line))
 
     reader_thread = _start_thread(reader)
     ctrl_client = socket.create_connection(("127.0.0.1", ctrl_port))
-    server_thread = _start_thread(hs.run_server, listener, material, ctrl_client, 4)
+    server_thread = _start_thread(hs.run_server, listener, material, ctrl_client, len(plan))
 
-    # 1: good, 2: malformed (bad type byte), 3-4: good again
-    outcomes = []
-    for i in range(4):
+    for step in plan:
         sock = socket.create_connection(("127.0.0.1", port), timeout=JOIN_TIMEOUT_S)
         with sock:
-            if i == 1:
-                sock.sendall(b"\x99\x00\x00\x00\x01Z")
-                # The server rejects the header and closes, possibly before it
+            if step == "ok":
+                result = hs.client_handshake(sock, KexMode.HYBRID, h.trust_store)
+                assert result.observation.chain_len_unique == 2
+            else:
+                sock.sendall(hostile[step])
+                # The server rejects the input and closes, possibly before it
                 # reads the last byte; then the close arrives as a reset.
                 try:
                     while sock.recv(4096):
                         pass
                 except ConnectionResetError:
                     pass
-                outcomes.append("malformed")
-            else:
-                result = hs.client_handshake(sock, KexMode.HYBRID, h.trust_store)
-                outcomes.append("ok")
-                assert result.observation.chain_len_unique == 2
     _join(server_thread)
     ctrl_client.close()
     _join(reader_thread)
     ctrl_server.close()
     listener.close()
 
-    assert outcomes == ["ok", "malformed", "ok", "ok"]
-    assert [r["connection_index"] for r in records] == [0, 1, 2, 3]
-    assert "error" in records[1]
-    assert all("server_cpu_ms" in r for i, r in enumerate(records) if i != 1)
+    assert [r["connection_index"] for r in records] == list(range(len(plan)))
+    for step, record in zip(plan, records):
+        if step == "ok":
+            assert "server_cpu_ms" in record, record
+        else:
+            assert "error" in record, (step, record)
 
 
 def test_tampering_client_failure_is_client_side(ml_d3_hierarchy):
     """A client that sends a bad ClientFinished: the server has already sent
     everything and simply records the mismatch."""
     _, h = ml_d3_hierarchy
+
+    def tamper(msg_type, body):
+        return bytes(32) if msg_type == hs.MSG_CLIENT_FINISHED else body  # wrong MAC
+
+    _, server, _ = run_handshake(h, KexMode.HYBRID, tamper=tamper)
+    assert server.client_finished_ok is False
+
+
+# --- exhaustive single-bit mutations through the pump ----------------------
+
+
+def _seeded_client(h):
+    """A client whose ClientHello, and so its ML-KEM key, is the same each time."""
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
+    return hs.client_flow(KexMode.HYBRID, trust, rng=random.Random(0x5EED).randbytes)
+
+
+def _replaying_server(frames):
+    """A server flow that sends recorded frames whatever it receives."""
+    yield  # ClientHello
+    yield from frames
+    yield  # ClientFinished
+
+
+def _first_frame_replaced(flow, frame):
+    """The flow, sending ``frame`` in place of its own first frame."""
+    next(flow)
+    yield frame
+    return (yield from flow)
+
+
+def test_every_single_bit_flip_is_a_handshake_error(ml_d3_hierarchy):
+    """Flip one bit in every byte of ClientHello and of each server message,
+    frame headers included.  Server messages are recorded once and replayed
+    into fresh clients.  Each mutation must end in a HandshakeError on one
+    side, and none may complete."""
+    _, h = ml_d3_hierarchy
     material = hs.ServerMaterial.from_hierarchy(h, KexMode.HYBRID, ServedChainPolicy.MIRROR)
-    listener, port = _loopback_pair()
-    result = {}
+    _, _, frames = pump(_seeded_client(h), hs.server_flow(material))
+    client, _, _ = pump(_seeded_client(h), _replaying_server(frames[1:5]))
+    assert client.bytes_read == sum(len(f) for f in frames[1:5])  # an exact replay completes
 
-    def server():
-        conn, _ = listener.accept()
-        with conn:
-            result["r"] = hs.server_handshake(conn, material)
-
-    thread = _start_thread(server)
-    sock = socket.create_connection(("127.0.0.1", port))
-    with sock:
-        conn = hs.Conn(sock)
-        from pqchainlab.crypto import backend
-
-        share, state = backend.client_share(KexMode.HYBRID)
-        import os
-
-        conn.send_msg(1, os.urandom(32) + struct.pack(">H", hs.GROUP_IDS[KexMode.HYBRID]) + share)
-        for msg_type in (2, 3, 4, 5):
-            conn.recv_msg(msg_type)
-        conn.send_msg(6, bytes(32))  # wrong MAC on purpose
-    _join(thread)
-    listener.close()
-    assert result["r"].client_finished_ok is False
+    escaped = []
+    for position, frame in enumerate(frames[:5]):
+        for index in range(len(frame)):
+            mutated = bytearray(frame)
+            mutated[index] ^= 1 << (index % 8)
+            if position == 0:
+                client = _first_frame_replaced(_seeded_client(h), bytes(mutated))
+                server = hs.server_flow(material)
+            else:
+                replay = frames[1:5]
+                replay[position - 1] = bytes(mutated)
+                client, server = _seeded_client(h), _replaying_server(replay)
+            try:
+                pump(client, server)
+            except hs.HandshakeError:
+                continue
+            except Exception as exc:  # reported below with its position
+                escaped.append((frame[0], index, repr(exc)))
+            else:
+                escaped.append((frame[0], index, "handshake completed"))
+    assert not escaped, f"{len(escaped)} mutations escaped (type, offset, outcome): {escaped[:10]}"
