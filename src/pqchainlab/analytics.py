@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .bench import CSV_COLUMNS, RunAggregate, read_master_summary, write_rows
+from .bench import CSV_COLUMNS, RunAggregate, SchemaError, read_master_summary, write_rows
 from .config import AnalysisConfig
 from .scenario import (
     Placement,
@@ -29,10 +29,6 @@ from .scenario import (
     conceptual_perf_group,
     parse_scenario_id,
 )
-
-
-class SchemaError(Exception):
-    """Input rows do not carry the master-summary column set."""
 
 
 def load_summary(path: Path | str) -> list[RunAggregate]:

@@ -309,6 +309,10 @@ def write_rows(rows: Sequence, path: Path | str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+class SchemaError(Exception):
+    """Input rows do not carry the master-summary column set."""
+
+
 def read_master_summary(path: Path | str) -> list[RunAggregate]:
     rows = []
     with open(path, newline="") as f:

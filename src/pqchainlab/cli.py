@@ -17,15 +17,15 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from . import __version__, analytics, bench, pki, svgplot
-from .analytics import SchemaError
-from .bench import ScenarioFailed
-from .config import AnalysisConfig, load_config
+from . import __version__, bench, pki
+from .bench import ScenarioFailed, SchemaError
 from .crypto.backend import CryptoError
 from .scenario import (
     Scenario,
+    SigFamily,
     enumerate_matrix,
     find_scenario,
+    parse_scenario_id,
     read_scenarios,
     write_scenarios,
 )
@@ -188,10 +188,10 @@ def fixture_path() -> Path:
 
 
 def _emit_plots(rows, results, out_dir: Path) -> None:
+    from . import svgplot
+
     rows = sorted(rows, key=lambda r: r.scenario_id)
-    leaf_slh = [
-        analytics.parse_scenario_id(r.scenario_id)[1].leaf.token == "slh" for r in rows
-    ]
+    leaf_slh = [parse_scenario_id(r.scenario_id)[1].leaf.token == "slh" for r in rows]
     svgplot.log_bar_chart(
         [r.scenario_id for r in rows],
         [r.mean_ms for r in rows],
@@ -232,6 +232,9 @@ def _analysis_input(args) -> Path:
 
 
 def cmd_analyze(args) -> int:
+    from . import analytics
+    from .config import AnalysisConfig, load_config
+
     rows = analytics.load_summary(_analysis_input(args))
     cfg = load_config(args.config)
     if args.baseline:
@@ -252,6 +255,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import analytics
+    from .config import load_config
+
     rows = analytics.load_summary(_analysis_input(args))
     cfg = load_config(args.config)
     out_dir = Path(args.out)
@@ -281,7 +287,7 @@ def _check(name: str, passed: bool, detail: str) -> bool:
 def live_property_checks(rows) -> bool:
     """Property gates for live data (absolute reference values do not
     transfer across hardware; directions and separations must)."""
-    from .scenario import SigFamily, parse_scenario_id
+    from . import analytics
 
     by_id = {r.scenario_id: r for r in rows}
     ok = True
@@ -342,6 +348,9 @@ def live_property_checks(rows) -> bool:
 
 
 def cmd_reproduce(args) -> int:
+    from . import analytics
+    from .config import load_config
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = load_config(None)

@@ -9,8 +9,10 @@ variant.  Handshake-time signing uses the hedged/backend paths.
 
 :mod:`~pqchainlab.crypto.mldsa`, and with it NumPy, is imported on the
 first deterministic ML-DSA signature, so processes that never issue a
-certificate do not load it.  Each ML-DSA issuer seed is expanded at most
-once per process: the expanded key is memoised by seed.
+certificate do not load it.  Likewise :mod:`~pqchainlab.crypto.slhdsa` is
+imported on the first SLH-DSA operation.  Both are called through their
+module attributes.  Each ML-DSA issuer seed is expanded at most once per
+process: the expanded key is memoised by seed.
 """
 
 from __future__ import annotations
@@ -26,15 +28,18 @@ from cryptography.hazmat.primitives.asymmetric import mlkem as _pyca_mlkem
 from cryptography.hazmat.primitives.asymmetric import x25519 as _pyca_x25519
 
 from ..scenario import KexMode, SigFamily
-from . import slhdsa
 
 RandomBytes = Callable[[int], bytes]
 
-# FIPS 204 ML-DSA-65 sizes, kept here so that importing the backend does
-# not import :mod:`.mldsa`.
+# FIPS 204 ML-DSA-65 and FIPS 205 SLH-DSA-SHAKE-192s sizes, kept here so
+# that importing the backend imports neither :mod:`.mldsa` nor :mod:`.slhdsa`.
 MLDSA_SEED_BYTES = 32
 MLDSA_PUBLIC_KEY_BYTES = 1952
 MLDSA_SIGNATURE_BYTES = 3309
+SLHDSA_N = 24
+SLHDSA_SEED_BYTES = 3 * SLHDSA_N  # SK.seed || SK.prf || PK.seed
+SLHDSA_PUBLIC_KEY_BYTES = 2 * SLHDSA_N
+SLHDSA_SIGNATURE_BYTES = 16224
 
 
 class CryptoError(Exception):
@@ -57,10 +62,10 @@ SIG_PARAMS = {
         signature_len=MLDSA_SIGNATURE_BYTES,
     ),
     SigFamily.SLH_DSA_SHAKE_192S: SigParams(
-        seed_len=slhdsa.SEED_BYTES,
-        public_key_len=slhdsa.PUBLIC_KEY_BYTES,
-        secret_key_len=4 * slhdsa.N,
-        signature_len=slhdsa.SIGNATURE_BYTES,
+        seed_len=SLHDSA_SEED_BYTES,
+        public_key_len=SLHDSA_PUBLIC_KEY_BYTES,
+        secret_key_len=4 * SLHDSA_N,
+        signature_len=SLHDSA_SIGNATURE_BYTES,
     ),
 }
 
@@ -94,6 +99,8 @@ def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
         if alg is SigFamily.ML_DSA_65:
             key = _pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes(seed)
             return KeyPair(alg, key.public_key().public_bytes_raw(), seed)
+        from . import slhdsa
+
         pk, key = slhdsa.keygen_from_seed(seed)
         return KeyPair(alg, pk, key.to_bytes())
     except CryptoError:
@@ -121,6 +128,8 @@ class Signer:
             self._ml = _pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes(keypair.secret_key)
             self._slh = None
         else:
+            from . import slhdsa
+
             self._ml = None
             self._slh = slhdsa.PrivateKey.from_bytes(keypair.secret_key)
 
@@ -129,7 +138,9 @@ class Signer:
         try:
             if self._ml is not None:
                 return self._ml.sign(message)
-            return slhdsa.sign(self._slh, message, opt_rand=os.urandom(slhdsa.N))
+            from . import slhdsa
+
+            return slhdsa.sign(self._slh, message, opt_rand=os.urandom(SLHDSA_N))
         except Exception as exc:
             raise CryptoError(f"signing failed: {exc}") from exc
 
@@ -137,6 +148,8 @@ class Signer:
         """Reproducible signature, used for certificate issuance."""
         try:
             if self._slh is not None:
+                from . import slhdsa
+
                 return slhdsa.sign(self._slh, message)
             from . import mldsa
 
@@ -163,6 +176,8 @@ def verify(alg: SigFamily, public_key: bytes, message: bytes, signature: bytes) 
             return False
         except Exception as exc:
             raise CryptoError(f"verification failed: {exc}") from exc
+    from . import slhdsa
+
     return slhdsa.verify(public_key, message, signature)
 
 

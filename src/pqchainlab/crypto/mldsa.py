@@ -11,8 +11,9 @@ and signatures produced here verify under that backend.
 
 Only issuance needs this module: :mod:`.backend` imports it (and so
 NumPy) on the first deterministic ML-DSA signature and expands each issuer
-seed once per process.  The NTTs transform a whole vector of polynomials
-per call.  A signature takes a few milliseconds, off the hot path.
+seed once per process.  The NTTs are exact matrix products that transform
+a whole vector of polynomials per call.  A signature takes a few
+milliseconds, off the hot path.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ def _bitrev8(x: int) -> int:
     return int(f"{x:08b}"[::-1], 2)
 
 
-_ZETAS = np.array([pow(ZETA, _bitrev8(m), Q) for m in range(256)], dtype=np.int64)
-
-
 def _shake256(data: bytes, n: int) -> bytes:
     return hashlib.shake_256(data).digest(n)
 
@@ -58,39 +56,59 @@ def _shake128(data: bytes, n: int) -> bytes:
     return hashlib.shake_128(data).digest(n)
 
 
+def _power_matrix(bases: list[int], scale: int) -> np.ndarray:
+    """float64 matrix whose row ``j`` is ``scale * bases**j mod Q``."""
+    m = np.empty((N, N))
+    row = np.full(N, scale, dtype=np.int64)
+    base = np.array(bases, dtype=np.int64)
+    for j in range(N):
+        m[j] = row
+        row = row * base % Q
+    return m
+
+
+# The NTT evaluates a polynomial at the roots zeta_i = ZETA**(2*brv8(i)+1)
+# of X^256 + 1, so both transforms are matrices over Z_Q: ntt(a) = a @ _NTT
+# with _NTT[j, i] = zeta_i**j, and intt(a) = a @ _INTT with
+# _INTT[i, j] = zeta_i**-j / 256.
+_ROOTS = [pow(ZETA, 2 * _bitrev8(i) + 1, Q) for i in range(N)]
+_NTT = _power_matrix(_ROOTS, 1)
+_INTT = _power_matrix([pow(z, Q - 2, Q) for z in _ROOTS], _F_INV256).T
+
+
+# Products are made at most 4 rows at a time.  OpenBLAS runs a product on
+# one thread while m*n*k <= 4 * 65536 (its default threshold), which is 4
+# rows against a 256x256 matrix.  Larger products wake its thread pool,
+# and in provisioning's pool workers, which already keep every CPU busy,
+# that cost several times more than the products themselves.
+_ROWS_PER_PRODUCT = 4
+
+
+def _matmul_mod_q(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m mod Q`` for ``a`` shaped ``(..., 256)``, exact in float64.
+
+    ``a`` is reduced to [0, Q) and split into its high 11 and low 12 bits.
+    Every partial sum of either product then stays below 2**43 < 2**53, so
+    the result does not depend on the order in which BLAS adds.
+    """
+    flat = (a % Q).reshape(-1, N)
+    halves = np.concatenate([flat >> 12, flat & 0xFFF]).astype(np.float64)
+    out = np.empty_like(halves)
+    for i in range(0, len(halves), _ROWS_PER_PRODUCT):
+        rows = slice(i, i + _ROWS_PER_PRODUCT)
+        np.matmul(halves[rows], m, out=out[rows])
+    hi, lo = np.split(out.astype(np.int64), 2)
+    return (((hi << 12) + lo) % Q).reshape(a.shape)
+
+
 def _ntt(a: np.ndarray) -> np.ndarray:
     """Forward NTT of every polynomial in ``a``, shaped ``(..., 256)``."""
-    a = a.copy()
-    length = 128
-    m = 1
-    while length >= 1:
-        nblocks = 256 // (2 * length)
-        z = _ZETAS[m : m + nblocks, None]
-        v = a.reshape(-1, nblocks, 2, length)
-        t = (z * v[:, :, 1, :]) % Q
-        v[:, :, 1, :] = (v[:, :, 0, :] - t) % Q
-        v[:, :, 0, :] = (v[:, :, 0, :] + t) % Q
-        m += nblocks
-        length //= 2
-    return a
+    return _matmul_mod_q(a, _NTT)
 
 
 def _intt(a: np.ndarray) -> np.ndarray:
     """Inverse NTT of every polynomial in ``a``, shaped ``(..., 256)``."""
-    a = a.copy()
-    length = 1
-    m = 256
-    while length < 256:
-        nblocks = 256 // (2 * length)
-        # block j of this layer uses zeta index m-1-j
-        z = _ZETAS[m - nblocks : m][::-1, None]
-        v = a.reshape(-1, nblocks, 2, length)
-        t = v[:, :, 0, :].copy()
-        v[:, :, 0, :] = (t + v[:, :, 1, :]) % Q
-        v[:, :, 1, :] = ((t - v[:, :, 1, :]) * (Q - z)) % Q
-        m -= nblocks
-        length *= 2
-    return (a * _F_INV256) % Q
+    return _matmul_mod_q(a, _INTT)
 
 
 def _mod_pm(x: np.ndarray, m: int) -> np.ndarray:
@@ -205,7 +223,8 @@ def _sample_in_ball(c_tilde: bytes) -> np.ndarray:
 
 
 def _matvec_ntt(a_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    return (a_hat * v_hat[None, :, :]).sum(axis=1) % Q
+    # not reduced mod Q: the inverse NTT that follows reduces
+    return (a_hat * v_hat[None, :, :]).sum(axis=1)
 
 
 def _w1_encode(w1: np.ndarray) -> bytes:
@@ -249,7 +268,7 @@ def keygen_from_seed(xi: bytes) -> tuple[bytes, _SecretKey]:
     rho, rho_prime, big_k = h[:32], h[32:96], h[96:]
     a_hat = _expand_a(rho)
     s1, s2 = _expand_s(rho_prime)
-    s1_hat = _ntt(s1 % Q)
+    s1_hat = _ntt(s1)
     t = _intt(_matvec_ntt(a_hat, s1_hat)) + s2
     t1, t0 = _power2round(t)
     pk = rho + b"".join(_pack_bits(t1[i], 10) for i in range(K))
@@ -259,16 +278,12 @@ def keygen_from_seed(xi: bytes) -> tuple[bytes, _SecretKey]:
         big_k=big_k,
         tr=tr,
         s1_hat=s1_hat,
-        s2_hat=_ntt(s2 % Q),
-        t0_hat=_ntt(t0 % Q),
+        s2_hat=_ntt(s2),
+        t0_hat=_ntt(t0),
         a_hat=a_hat,
         public_key=pk,
     )
     return pk, sk
-
-
-def public_key_from_seed(xi: bytes) -> bytes:
-    return keygen_from_seed(xi)[0]
 
 
 def sign_deterministic(sk: _SecretKey, message: bytes, ctx: bytes = b"") -> bytes:
@@ -278,17 +293,17 @@ def sign_deterministic(sk: _SecretKey, message: bytes, ctx: bytes = b"") -> byte
     m_prime = bytes([0, len(ctx)]) + ctx + message
     mu = _shake256(sk.tr + m_prime, 64)
     rho2 = _shake256(sk.big_k + bytes(32) + mu, 64)
+    s_hat = np.concatenate([sk.s1_hat, sk.s2_hat])
     kappa = 0
     while True:
         y = _expand_mask(rho2, kappa)
         kappa += L
-        y_hat = _ntt(y % Q)
+        y_hat = _ntt(y)
         w = _intt(_matvec_ntt(sk.a_hat, y_hat))
         w1, _ = _decompose(w)
         c_tilde = _shake256(mu + _w1_encode(w1), LAMBDA // 4)
-        c_hat = _ntt(_sample_in_ball(c_tilde) % Q)
-        cs1 = _intt((c_hat * sk.s1_hat) % Q)
-        cs2 = _intt((c_hat * sk.s2_hat) % Q)
+        c_hat = _ntt(_sample_in_ball(c_tilde))
+        cs1, cs2 = np.split(_intt(c_hat * s_hat), [L])
         z = y + _mod_pm(cs1, Q)
         if _inf_norm(z) >= GAMMA1 - BETA:
             continue
@@ -296,7 +311,7 @@ def sign_deterministic(sk: _SecretKey, message: bytes, ctx: bytes = b"") -> byte
         _, r0 = _decompose(wcs2)
         if int(np.abs(r0).max()) >= GAMMA2 - BETA:
             continue
-        ct0 = _mod_pm(_intt((c_hat * sk.t0_hat) % Q), Q)
+        ct0 = _mod_pm(_intt(c_hat * sk.t0_hat), Q)
         if _inf_norm(ct0) >= GAMMA2:
             continue
         v1 = _decompose(wcs2)[0]

@@ -375,10 +375,11 @@ def run_server(
 
     After each connection a JSON line
     ``{"connection_index": i, "server_cpu_ms": x, "bytes_in": n, "bytes_out": m}``
-    is written to the control socket.  Transport or protocol failures drop
-    the connection and continue; the loop ends after ``max_connections``
-    or when the listener closes.  Returns the number of completed
-    handshakes.
+    is written to the control socket.  Transport or protocol failures, a
+    ClientFinished that does not verify included, drop the connection and
+    continue with an ``{"connection_index": i, "error": reason}`` record;
+    the loop ends after ``max_connections`` or when the listener closes.
+    Returns the number of completed handshakes.
     """
     ctrl_file = control.makefile("w") if control is not None else None
     completed = 0
@@ -395,6 +396,8 @@ def run_server(
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 cpu0 = time.thread_time_ns()
                 result = server_handshake(sock, material, rng)
+                if not result.client_finished_ok:
+                    raise BadFinished("ClientFinished MAC mismatch")
                 cpu_ms = (time.thread_time_ns() - cpu0) / 1e6
                 record = {
                     "connection_index": index,

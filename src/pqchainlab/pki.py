@@ -349,6 +349,9 @@ class PathErrorKind(enum.Enum):
     EXPIRED = "expired"
     NOT_YET_VALID = "not_yet_valid"
     NOT_CA = "not_ca"
+    ISSUER_MISMATCH = "issuer_mismatch"
+    ALGORITHM_MISMATCH = "algorithm_mismatch"
+    BAD_ANCHOR = "bad_anchor"
 
 
 class PathError(Exception):
@@ -366,13 +369,17 @@ def validate_chain(
 ) -> None:
     """Validate a served chain (leaf first) against the trust store.
 
-    Every signature in the chain is verified: each certificate under its
-    successor, and the top certificate under the trust-store anchor that
-    its issuer name resolves to.  A served root therefore gets its
-    self-signature checked against the stored anchor, which keeps the
-    validation cost proportional to the signature families actually
-    exposed on the wire.  Raises :class:`PathError`; returns None on
-    success.
+    Every served certificate must be inside its validity window, and every
+    one above the leaf must be a CA.  The trust-store anchor that the top
+    certificate's issuer name resolves to must be a CA inside its validity
+    window too.  Each certificate is then checked against its parent (its
+    successor, or the anchor for the top one): its issuer name must equal
+    the parent's subject, its signature algorithm the parent's key
+    algorithm, and its signature must verify under the parent's key.  A
+    served root therefore gets its self-signature checked against the
+    stored anchor, which keeps the validation cost proportional to the
+    signature families actually exposed on the wire.  Raises
+    :class:`PathError`; returns None on success.
     """
     if not served:
         raise ValueError("served chain is empty")
@@ -385,17 +392,19 @@ def validate_chain(
         if i > 0 and not cert.is_ca:
             raise PathError(PathErrorKind.NOT_CA, i)
 
-    for i in range(len(served) - 1):
-        parent = served[i + 1]
-        if not verify_certificate(served[i], parent.public_key):
-            raise PathError(PathErrorKind.BAD_SIGNATURE, i)
-
-    top = served[-1]
-    anchor = next((c for c in trust_store if c.subject == top.issuer), None)
+    anchor = next((c for c in trust_store if c.subject == served[-1].issuer), None)
     if anchor is None:
         raise PathError(PathErrorKind.UNKNOWN_ANCHOR)
-    if not verify_certificate(top, anchor.public_key):
-        raise PathError(PathErrorKind.BAD_SIGNATURE, len(served) - 1)
+    if not (anchor.is_ca and anchor.not_before <= now <= anchor.not_after):
+        raise PathError(PathErrorKind.BAD_ANCHOR)
+
+    for i, (cert, parent) in enumerate(zip(served, served[1:] + [anchor])):
+        if cert.issuer != parent.subject:
+            raise PathError(PathErrorKind.ISSUER_MISMATCH, i)
+        if cert.sig_alg_id != parent.pk_alg_id:
+            raise PathError(PathErrorKind.ALGORITHM_MISMATCH, i)
+        if not verify_certificate(cert, parent.public_key):
+            raise PathError(PathErrorKind.BAD_SIGNATURE, i)
 
 
 # --- on-disk layout -----------------------------------------------------

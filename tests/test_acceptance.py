@@ -250,18 +250,26 @@ def test_criterion_6_transport_crypto_dissociation(live_sweep):
 # --- criterion 7: handshake correctness -------------------------------------
 
 
+def _handshake_worker(args):
+    scenario, policy, root = args
+    hierarchy = pki.load_hierarchy(root / scenario.display_id)
+    client, server, _ = conftest.run_handshake(hierarchy, scenario.kex, policy)
+    return client.secrets.master_secret, server.secrets.master_secret, server.client_finished_ok
+
+
 @pytest.mark.slow
 def test_criterion_7_handshake_correctness(pki_all, matrix17):
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Each SLH-leaf handshake signs for seconds; two workers share them.
+    cases = [(scenario, policy, pki_all) for scenario in matrix17 for policy in ServedChainPolicy]
     completed = 0
-    for scenario in matrix17:
-        hierarchy = pki.load_hierarchy(pki_all / scenario.display_id)
-        for policy in ServedChainPolicy:
-            client, server, _ = conftest.run_handshake(hierarchy, scenario.kex, policy)
-            assert client.secrets.master_secret == server.secrets.master_secret, (
-                scenario.display_id,
-                policy,
-            )
-            assert server.client_finished_ok
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for (scenario, policy, _), (client_master, server_master, finished_ok) in zip(
+            cases, pool.map(_handshake_worker, cases)
+        ):
+            assert client_master == server_master, (scenario.display_id, policy)
+            assert finished_ok
             completed += 1
     assert completed == 17 * 3
 

@@ -67,6 +67,15 @@ class TestMlDsa:
             assert np.array_equal(fn(x), rows)
         assert np.array_equal(mldsa._intt(mldsa._ntt(x)), x)
 
+    def test_ntt_product_is_negacyclic_schoolbook_product(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            a, b = rng.integers(0, mldsa.Q, size=(2, 256), dtype=np.int64)
+            full = np.convolve(a, b)  # every coefficient < 256 * Q**2 < 2**63
+            want = (full[:256] - np.append(full[256:], 0)) % mldsa.Q  # X**256 = -1
+            got = mldsa._intt(mldsa._ntt(a) * mldsa._ntt(b) % mldsa.Q)
+            assert np.array_equal(got, want)
+
     def test_backend_sizes_match_mldsa(self):
         params = backend.SIG_PARAMS[SigFamily.ML_DSA_65]
         assert params.seed_len == mldsa.SEED_BYTES
@@ -159,6 +168,41 @@ class TestSlhDsa:
         assert backend.verify(
             SigFamily.SLH_DSA_SHAKE_192S, pair.public_key, slh_material[2], slh_material[3]
         )
+
+
+def test_set_up_imports_load_only_what_commands_run():
+    code = (
+        "import sys\n"
+        "import pqchainlab.bench, pqchainlab.cli, pqchainlab.handshake, pqchainlab.pki\n"
+        "print(*sorted(m for m in sys.argv[1:] if m in sys.modules))\n"
+    )
+    deferred = [
+        "pqchainlab.analytics",
+        "pqchainlab.svgplot",
+        "pqchainlab.config",
+        "pqchainlab.crypto.slhdsa",
+        "numpy",
+    ]
+    path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *deferred],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.split() == []
+
+
+def test_backend_sizes_match_slhdsa():
+    params = backend.SIG_PARAMS[SigFamily.SLH_DSA_SHAKE_192S]
+    assert params.seed_len == slhdsa.SEED_BYTES
+    assert params.public_key_len == slhdsa.PUBLIC_KEY_BYTES
+    assert params.secret_key_len == 4 * slhdsa.N
+    assert params.signature_len == slhdsa.SIGNATURE_BYTES
+    assert backend.SLHDSA_N == slhdsa.N
 
 
 class TestKex:

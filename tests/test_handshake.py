@@ -175,6 +175,18 @@ def _client_hello(share):
     return struct.pack(">BI", hs.MSG_CLIENT_HELLO, len(body)) + body
 
 
+def _client_finished_zeroed(flow):
+    """The client flow, sending its ClientFinished with an all-zero MAC."""
+    frame = next(flow)
+    while True:
+        if frame is not None and frame[0] == hs.MSG_CLIENT_FINISHED:
+            frame = frame[:5] + bytes(len(frame) - 5)
+        try:
+            frame = flow.send((yield frame))
+        except StopIteration as done:
+            return done.value
+
+
 def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
     _, h = ml_d3_hierarchy
     monkeypatch.setattr(hs, "CONNECTION_TIMEOUT_S", 1.0)
@@ -189,6 +201,7 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
     }
     # An honest handshake before and after each hostile connection.
     plan = ["ok"] + [step for name in hostile for step in (name, "ok")]
+    plan += ["bad ClientFinished", "ok"]
 
     listener, port = _loopback_pair()
     ctrl_server, ctrl_port = _loopback_pair()
@@ -210,6 +223,9 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
             if step == "ok":
                 result = hs.client_handshake(sock, KexMode.HYBRID, h.trust_store)
                 assert result.observation.chain_len_unique == 2
+            elif step == "bad ClientFinished":
+                flow = hs.client_flow(KexMode.HYBRID, h.trust_store)
+                hs._drive(sock, _client_finished_zeroed(flow))
             else:
                 sock.sendall(hostile[step])
                 # The server rejects the input and closes, possibly before it
@@ -231,6 +247,7 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
             assert "server_cpu_ms" in record, record
         else:
             assert "error" in record, (step, record)
+    assert records[-2]["error"] == "ClientFinished MAC mismatch"
 
 
 def test_tampering_client_failure_is_client_side(ml_d3_hierarchy):

@@ -156,6 +156,68 @@ def test_validate_not_ca(ml_d3_hierarchy):
     assert err.value.kind is PathErrorKind.NOT_CA
 
 
+def _reissued(cert, key, issuer_name, issuer_key, now=DEFAULT_NOW, is_ca=None):
+    """``cert``'s subject and key, validly signed again by ``issuer_key``."""
+    return issue_certificate(
+        serial=cert.serial,
+        subject=cert.subject,
+        subject_key=key,
+        issuer_name=issuer_name,
+        issuer_key=issuer_key,
+        is_ca=cert.is_ca if is_ca is None else is_ca,
+        now=now,
+    )
+
+
+def test_validate_issuer_mismatch(ml_d3_hierarchy):
+    _, h = ml_d3_hierarchy
+    (leaf, leaf_key), (inter, inter_key) = h.leaf, h.intermediate
+    wrong = _reissued(leaf, leaf_key, h.root[0].subject, inter_key)
+    assert verify_certificate(wrong, inter.public_key)  # only the name is wrong
+    with pytest.raises(PathError) as err:
+        validate_chain([wrong, inter], h.trust_store, DEFAULT_NOW)
+    assert (err.value.kind, err.value.position) == (PathErrorKind.ISSUER_MISMATCH, 0)
+
+
+def test_validate_algorithm_mismatch_before_signature(ml_d3_hierarchy):
+    _, h = ml_d3_hierarchy
+    (leaf, _), (inter, inter_key) = h.leaf, h.intermediate
+    # the leaf claims an SLH-DSA signature from its ML-DSA issuer
+    tbs = encode_tbs(
+        leaf.version,
+        leaf.serial,
+        leaf.subject,
+        leaf.issuer,
+        SigFamily.SLH_DSA_SHAKE_192S.alg_id,
+        leaf.pk_alg_id,
+        leaf.public_key,
+        leaf.not_before,
+        leaf.not_after,
+        leaf.is_ca,
+    )
+    signature = backend.sign(inter_key, hashlib.sha256(tbs).digest(), deterministic=True)
+    claimed = decode_certificate(encode_certificate(tbs, signature))
+    with pytest.raises(PathError) as err:
+        validate_chain([claimed, inter], h.trust_store, DEFAULT_NOW)
+    assert (err.value.kind, err.value.position) == (PathErrorKind.ALGORITHM_MISMATCH, 0)
+
+
+def test_validate_anchor_is_ca_inside_its_window(ml_d3_hierarchy):
+    _, h = ml_d3_hierarchy
+    chain = served_chain(h, ServedChainPolicy.MIRROR)  # [leaf, int]: the root is not served
+    root, root_key = h.root
+    shift = 2 * pki.VALIDITY_LIFETIME
+    for anchor in (
+        _reissued(root, root_key, root.subject, root_key, is_ca=False),
+        _reissued(root, root_key, root.subject, root_key, now=DEFAULT_NOW + shift),
+        _reissued(root, root_key, root.subject, root_key, now=DEFAULT_NOW - shift),
+    ):
+        assert anchor.subject == root.subject and anchor.public_key == root.public_key
+        with pytest.raises(PathError) as err:
+            validate_chain(chain, [anchor], DEFAULT_NOW)
+        assert err.value.kind is PathErrorKind.BAD_ANCHOR
+
+
 def test_single_byte_corruption_always_rejected(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     chain = served_chain(h, ServedChainPolicy.MIRROR)
