@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
+import signal
 import socket
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -171,12 +172,28 @@ def aggregate(scenario: Scenario, samples: list[HandshakeSample]) -> RunAggregat
     )
 
 
-def _listen(host: str) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, 0))
-    sock.listen(8)
-    return sock
+def fork_call(fn, *args) -> int:
+    """Run ``fn(*args)`` in a forked child and return its pid.
+
+    The child exits through ``os._exit`` with ``fn``'s result (None is
+    0), or with 1 after printing the traceback of what ``fn`` raised.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = fn(*args) or 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            try:
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+    return pid
 
 
 def run_scenario(
@@ -192,81 +209,74 @@ def run_scenario(
     hierarchy = pki.load_hierarchy(scenario_dir)
     trust = pki.client_trust_store(hierarchy, cfg.policy)
 
-    listener = _listen(cfg.host)
-    control_listener = _listen(cfg.host)
+    listener = socket.create_server((cfg.host, 0), backlog=8)
+    control_listener = socket.create_server((cfg.host, 0), backlog=8)
     data_port = listener.getsockname()[1]
     ctrl_port = control_listener.getsockname()[1]
 
-    ctx = multiprocessing.get_context("fork")
-    server = ctx.Process(
-        target=hs.serve_scenario_process,
-        args=(
-            listener,
-            control_listener,
-            str(scenario_dir),
-            scenario.kex.tls_group_label,
-            cfg.policy.value,
-            total,
-        ),
-        daemon=True,
+    server = fork_call(
+        hs.serve_scenario_process,
+        listener,
+        control_listener,
+        str(scenario_dir),
+        scenario.kex.tls_group_label,
+        cfg.policy.value,
+        total,
     )
-    server.start()
     listener.close()
     control_listener.close()
 
     samples: list[HandshakeSample] = []
-    control = socket.create_connection((cfg.host, ctrl_port), timeout=cfg.connect_timeout)
-    ctrl_file = control.makefile("r")
     try:
-        for i in range(total):
-            t0 = time.perf_counter_ns()
-            cpu0 = time.thread_time_ns()
-            try:
-                sock = socket.create_connection(
-                    (cfg.host, data_port), timeout=cfg.connect_timeout
+        control = socket.create_connection((cfg.host, ctrl_port), timeout=cfg.connect_timeout)
+        with control, control.makefile("r") as ctrl_file:
+            for i in range(total):
+                t0 = time.perf_counter_ns()
+                cpu0 = time.thread_time_ns()
+                try:
+                    sock = socket.create_connection(
+                        (cfg.host, data_port), timeout=cfg.connect_timeout
+                    )
+                    with sock:
+                        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                        result = hs.client_handshake(sock, scenario.kex, trust, now=cfg.now)
+                        client_cpu_ms = (time.thread_time_ns() - cpu0) / 1e6
+                        elapsed_ms = (time.perf_counter_ns() - t0) / 1e6
+                except (hs.HandshakeError, OSError) as exc:
+                    raise ScenarioFailed(
+                        f"{scenario.display_id}: run {i} failed: {exc}"
+                    ) from exc
+                line = ctrl_file.readline()
+                if not line:
+                    raise ScenarioFailed(f"{scenario.display_id}: control channel closed early")
+                record = json.loads(line)
+                if "error" in record:
+                    raise ScenarioFailed(
+                        f"{scenario.display_id}: server-side failure: {record['error']}"
+                    )
+                if record["connection_index"] != i:
+                    raise ScenarioFailed(
+                        f"{scenario.display_id}: connection ordering violated "
+                        f"({record['connection_index']} != {i})"
+                    )
+                if i < warmup:
+                    continue
+                sample = HandshakeSample(
+                    run_index=i - warmup,
+                    elapsed_ms=elapsed_ms,
+                    bytes_read=result.bytes_read,
+                    bytes_written=result.bytes_written,
+                    chain_len_unique=result.observation.chain_len_unique,
+                    chain_bytes_unique=result.observation.chain_bytes_unique,
+                    served_chain_der_bytes=result.observation.served_chain_der_bytes,
+                    client_cpu_ms=client_cpu_ms,
+                    server_cpu_ms=record["server_cpu_ms"],
                 )
-                with sock:
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    result = hs.client_handshake(sock, scenario.kex, trust, now=cfg.now)
-                    client_cpu_ms = (time.thread_time_ns() - cpu0) / 1e6
-                    elapsed_ms = (time.perf_counter_ns() - t0) / 1e6
-            except (hs.HandshakeError, OSError) as exc:
-                raise ScenarioFailed(
-                    f"{scenario.display_id}: run {i} failed: {exc}"
-                ) from exc
-            line = ctrl_file.readline()
-            if not line:
-                raise ScenarioFailed(f"{scenario.display_id}: control channel closed early")
-            record = json.loads(line)
-            if "error" in record:
-                raise ScenarioFailed(
-                    f"{scenario.display_id}: server-side failure: {record['error']}"
-                )
-            if record["connection_index"] != i:
-                raise ScenarioFailed(
-                    f"{scenario.display_id}: connection ordering violated "
-                    f"({record['connection_index']} != {i})"
-                )
-            if i < warmup:
-                continue
-            sample = HandshakeSample(
-                run_index=i - warmup,
-                elapsed_ms=elapsed_ms,
-                bytes_read=result.bytes_read,
-                bytes_written=result.bytes_written,
-                chain_len_unique=result.observation.chain_len_unique,
-                chain_bytes_unique=result.observation.chain_bytes_unique,
-                served_chain_der_bytes=result.observation.served_chain_der_bytes,
-                client_cpu_ms=client_cpu_ms,
-                server_cpu_ms=record["server_cpu_ms"],
-            )
-            check_sample_sanity(sample)
-            samples.append(sample)
+                check_sample_sanity(sample)
+                samples.append(sample)
     finally:
-        ctrl_file.close()
-        control.close()
-        server.terminate()
-        server.join(timeout=10)
+        os.kill(server, signal.SIGTERM)
+        os.waitpid(server, 0)
     return samples
 
 
@@ -274,17 +284,12 @@ def run_scenario(
 
 
 def write_samples(samples: list[HandshakeSample], path: Path | str) -> None:
-    with open(path, "w") as f:
-        for s in samples:
-            f.write(json.dumps(asdict(s)) + "\n")
+    Path(path).write_text("".join(json.dumps(asdict(s)) + "\n" for s in samples))
 
 
 def read_samples(path: Path | str) -> list[HandshakeSample]:
-    out = []
     with open(path) as f:
-        for line in f:
-            out.append(HandshakeSample(**json.loads(line)))
-    return out
+        return [HandshakeSample(**json.loads(line)) for line in f]
 
 
 def write_rows(rows: Sequence, path: Path | str) -> None:

@@ -426,13 +426,10 @@ def serve_scenario_process(
     policy_label: str,
     max_connections: Optional[int] = None,
 ) -> None:
-    """Entry point for a forked server process: load material, serve, report."""
+    """Entry point for a forked server process: load material, serve, report.
+
+    The sockets close when the process exits.
+    """
     h = pki.load_hierarchy(pki_dir)
-    material = ServerMaterial.from_hierarchy(
-        h, KexMode.from_label(kex_label), ServedChainPolicy.from_label(policy_label)
-    )
-    control, _ = control_listener.accept()
-    control_listener.close()
-    with control:
-        run_server(listener, material, control, max_connections)
-    listener.close()
+    material = ServerMaterial.from_hierarchy(h, KexMode(kex_label), ServedChainPolicy(policy_label))
+    run_server(listener, material, control_listener.accept()[0], max_connections)

@@ -298,13 +298,6 @@ class ServedChainPolicy(enum.Enum):
     FULL_CHAIN = "full"
     LEAF_ONLY = "leaf"
 
-    @classmethod
-    def from_label(cls, label: str) -> "ServedChainPolicy":
-        for policy in cls:
-            if policy.value == label:
-                return policy
-        raise ValueError(f"unknown served-chain policy {label!r}")
-
 
 def served_chain(h: HierarchyMaterial, policy: ServedChainPolicy) -> list[CertificateRecord]:
     """Ordered wire chain, leaf first."""

@@ -58,13 +58,6 @@ class KexMode(enum.Enum):
     def tls_group_label(self) -> str:
         return self.value
 
-    @classmethod
-    def from_label(cls, label: str) -> "KexMode":
-        for mode in cls:
-            if mode.value == label:
-                return mode
-        raise ValueError(f"unknown TLS group label {label!r}")
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -145,7 +138,7 @@ def parse_scenario_id(scenario_id: str) -> tuple[KexMode, Placement]:
     parts = scenario_id.split("__")
     if len(parts) < 2:
         raise ValueError(f"malformed scenario id {scenario_id!r}")
-    kex = KexMode.from_label(parts[0])
+    kex = KexMode(parts[0])
     tokens = parts[1:]
 
     if len(tokens) == 1 and tokens[0] in _LEGACY_LEAF_TOKENS:
@@ -287,41 +280,38 @@ def find_scenario(scenarios: list[Scenario], scenario_id: str) -> Scenario:
     raise KeyError(scenario_id)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "scenario_id": s.display_id,
-        "canonical_id": s.scenario_id,
-        "kex_mode": s.kex.name.lower(),
-        "tls_group": s.kex.tls_group_label,
-        "depth": s.depth,
-        "root_family": s.placement.root.value,
-        "intermediate_family": s.placement.intermediate.value if s.placement.intermediate else None,
-        "leaf_family": s.placement.leaf.value,
-        "campaign": s.campaign,
-        "runs": s.runs,
-        "warmup_runs": s.warmup_runs,
-    }
-
-
-def scenario_from_dict(d: dict) -> Scenario:
-    kex = KexMode.from_label(d["tls_group"])
-    _, placement = parse_scenario_id(d["canonical_id"])
-    alias = d["scenario_id"] if d["scenario_id"] != d["canonical_id"] else None
-    return Scenario(
-        scenario_id=d["canonical_id"],
-        kex=kex,
-        placement=placement,
-        campaign=d["campaign"],
-        runs=d["runs"],
-        warmup_runs=d["warmup_runs"],
-        alias=alias,
-    )
-
-
 def write_scenarios(scenarios: list[Scenario], path: Path | str) -> None:
-    payload = [scenario_to_dict(s) for s in scenarios]
+    payload = [
+        {
+            "scenario_id": s.display_id,
+            "canonical_id": s.scenario_id,
+            "kex_mode": s.kex.name.lower(),
+            "tls_group": s.kex.tls_group_label,
+            "depth": s.depth,
+            "root_family": s.placement.root.value,
+            "intermediate_family": (
+                s.placement.intermediate.value if s.placement.intermediate else None
+            ),
+            "leaf_family": s.placement.leaf.value,
+            "campaign": s.campaign,
+            "runs": s.runs,
+            "warmup_runs": s.warmup_runs,
+        }
+        for s in scenarios
+    ]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def read_scenarios(path: Path | str) -> list[Scenario]:
-    return [scenario_from_dict(d) for d in json.loads(Path(path).read_text())]
+    return [
+        Scenario(
+            scenario_id=d["canonical_id"],
+            kex=KexMode(d["tls_group"]),
+            placement=parse_scenario_id(d["canonical_id"])[1],
+            campaign=d["campaign"],
+            runs=d["runs"],
+            warmup_runs=d["warmup_runs"],
+            alias=d["scenario_id"] if d["scenario_id"] != d["canonical_id"] else None,
+        )
+        for d in json.loads(Path(path).read_text())
+    ]

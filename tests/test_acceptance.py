@@ -20,7 +20,7 @@ import conftest
 
 from pqchainlab import analytics as an
 from pqchainlab import bench, handshake as hs, pki
-from pqchainlab.cli import fixture_path
+from pqchainlab.cli import EXIT_OK, fixture_path, main
 from pqchainlab.config import AnalysisConfig
 from pqchainlab.pki import ServedChainPolicy
 from pqchainlab.scenario import SigFamily, enumerate_matrix, find_scenario, parse_scenario_id
@@ -146,22 +146,11 @@ def matrix17():
 
 
 @pytest.fixture(scope="module")
-def pki_all(tmp_path_factory, matrix17):
+def pki_all(tmp_path_factory):
     """Provision all 17 hierarchies once (heaviest fixture of the suite)."""
     root = tmp_path_factory.mktemp("pki_all")
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        list(pool.map(_provision_worker, [(s, str(root)) for s in matrix17]))
+    assert main(["provision", "--out", str(root), "--seed", SEED.hex(), "--jobs", "2"]) == EXIT_OK
     return root
-
-
-def _provision_worker(args):
-    scenario, root = args
-    from pathlib import Path
-
-    pki.write_hierarchy(pki.build_hierarchy(scenario, SEED), Path(root) / scenario.display_id)
-    return scenario.display_id
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 import math
+import os
+import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqchainlab import bench, pki
+from pqchainlab import bench, handshake as hs, pki
 from pqchainlab.bench import (
     BenchConfig,
     HandshakeSample,
@@ -111,6 +113,29 @@ def test_run_scenario_single_run(tmp_path, ml_d2_hierarchy):
     pki.write_hierarchy(h, tmp_path / s.display_id)
     samples = bench.run_scenario(s, tmp_path, BenchConfig(runs=1, warmup=0))
     assert len(samples) == 1
+
+
+@pytest.mark.parametrize(
+    "owner, attr, error",
+    [
+        # the forked server fails before it accepts the control connection
+        (hs.ServerMaterial, "from_hierarchy", RuntimeError("server material refused")),
+        # the control connection, the first one run_scenario opens, is refused
+        (socket, "create_connection", ConnectionRefusedError("control connection refused")),
+    ],
+)
+def test_run_scenario_reaps_its_server(tmp_path, ml_d2_hierarchy, monkeypatch, owner, attr, error):
+    s, h = ml_d2_hierarchy
+    pki.write_hierarchy(h, tmp_path / s.display_id)
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, attr, fail)
+    with pytest.raises((ScenarioFailed, OSError)):
+        bench.run_scenario(s, tmp_path, BenchConfig(runs=3, warmup=0))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_scenario_unprovisioned(tmp_path, matrix):

@@ -1,15 +1,18 @@
 import json
+import os
 
 import pytest
 
 from pqchainlab import pki
 from pqchainlab.cli import (
+    EXIT_CRYPTO,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_USAGE,
     fixture_path,
     main,
 )
+from pqchainlab.crypto.backend import CryptoError
 
 
 def test_gen_scenarios_default(tmp_path):
@@ -78,6 +81,59 @@ def test_provision_and_bench_small(tmp_path):
     assert (results / "master_summary.csv").exists()
     # the results manifest records the seed that provisioned the PKI
     assert json.loads((results / "manifest.json").read_text())["seed_hex"] == "0abc"
+
+
+MIXED = [
+    "x25519mlkem768__ml_root__ml_int__ml_leaf",
+    "x25519__leaf_mldsa65",
+    "x25519mlkem768__ml_root__slh_leaf",
+    "mlkem768__ml_root__ml_leaf",
+    "x25519mlkem768__ml_root__ml_leaf",
+]
+
+
+def test_provision_bytes_and_output_do_not_depend_on_jobs(tmp_path, capsys):
+    trees = {}
+    for jobs in ("1", "2", "5"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["provision", "--select", *MIXED, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"provisioned {sid}" for sid in MIXED]
+        files = sorted(out.glob("*/*.*"))
+        assert {f.suffix for f in files} == {".cert", ".key"}
+        trees[jobs] = {str(f.relative_to(out)): f.read_bytes() for f in files}
+    # a .cert and a .key per position: one depth-3 and four depth-2 hierarchies
+    assert len(trees["1"]) == 2 * (3 + 2 + 2 + 2 + 2)
+    assert trees["1"] == trees["2"] == trees["5"]
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_provision_worker_failure(tmp_path, monkeypatch, capfd, forked):
+    # Two hierarchies of equal cost: the first goes to this process's
+    # share, the second to the forked child's.
+    ids = ["x25519mlkem768__ml_root__ml_leaf", "mlkem768__ml_root__ml_leaf"]
+    failing = ids[1] if forked else ids[0]
+    build = pki.build_hierarchy
+
+    def build_or_fail(scenario, seed, now=pki.DEFAULT_NOW):
+        (tmp_path / f"{scenario.display_id}.pid").write_text(str(os.getpid()))
+        if scenario.display_id == failing:
+            raise CryptoError(f"refused to issue {failing}")
+        return build(scenario, seed, now=now)
+
+    monkeypatch.setattr(pki, "build_hierarchy", build_or_fail)
+    for jobs in ("2", "1"):
+        out = tmp_path / f"pki{jobs}"
+        code = main(["provision", "--select", *ids, "--out", str(out), "--jobs", jobs])
+        assert code == EXIT_CRYPTO
+        captured = capfd.readouterr()
+        assert f"error: refused to issue {failing}" in captured.err
+        assert "provisioned" not in captured.out
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        ran_here = (tmp_path / f"{failing}.pid").read_text() == str(os.getpid())
+        assert ran_here is (jobs == "1" or not forked)
 
 
 def test_bench_full_policy_depth3_serves_three(tmp_path):

@@ -182,6 +182,8 @@ def test_set_up_imports_load_only_what_commands_run():
         "pqchainlab.config",
         "pqchainlab.crypto.slhdsa",
         "numpy",
+        "multiprocessing",
+        "concurrent.futures",
     ]
     path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
