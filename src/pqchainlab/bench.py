@@ -55,6 +55,26 @@ def thread_clock_tick_ms() -> float:
     return _tick_cache
 
 
+def host_cpu_ticks() -> Optional[tuple[int, int]]:
+    """(steal, total) clock ticks of all the host's CPUs, from ``/proc/stat``; None elsewhere."""
+    try:
+        with open("/proc/stat") as f:
+            # cpu user nice system idle iowait irq softirq steal (guest time is in user)
+            ticks = [int(t) for t in f.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return (ticks[7], sum(ticks)) if len(ticks) == 8 else None
+
+
+def steal_share(
+    before: Optional[tuple[int, int]], after: Optional[tuple[int, int]]
+) -> Optional[float]:
+    """Share of the host's CPU time that the hypervisor stole between two readings."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
 def check_sample_sanity(sample: "HandshakeSample") -> None:
     """Sequential design: client CPU cannot exceed wall time (plus clock tick)."""
     allowance = sample.elapsed_ms * 1.05 + thread_clock_tick_ms()

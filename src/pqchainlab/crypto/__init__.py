@@ -1,2 +1,3 @@
-"""Cryptographic backends: C-accelerated ML-DSA/ML-KEM/X25519 plus the
-pure-Python SLH-DSA-SHAKE-192s and deterministic ML-DSA signing paths."""
+"""Cryptographic backends: C-accelerated ML-DSA/ML-KEM/X25519, the
+pure-Python SLH-DSA-SHAKE-192s and deterministic ML-DSA signing paths, and
+certificate issuance through OpenSSL 3.5."""

@@ -2,17 +2,29 @@
 
 ML-DSA-65, ML-KEM-768 and X25519 ride on the ``cryptography`` package
 (C speed, seeded keygen).  SLH-DSA-SHAKE-192s uses the local pure-Python
-implementation.  Certificate issuance needs reproducible bytes, so the
-deterministic signing paths route through :mod:`pqchainlab.crypto.mldsa`
-(the backend's ML-DSA signer is hedged) and the deterministic SLH-DSA
-variant.  Handshake-time signing uses the hedged/backend paths.
+implementation.  Handshake-time signing is hedged and, like every
+verification, stays on these paths.
+
+Certificate issuance (SLH-DSA key generation and deterministic signing)
+needs reproducible bytes and runs on one of two named backends:
+
+* ``openssl``: OpenSSL 3.5's libcrypto through :mod:`.openssl`, loaded
+  from ``$PQCHAINLAB_LIBCRYPTO`` (default :data:`DEFAULT_LIBCRYPTO`);
+* ``python``: :mod:`.mldsa` (``cryptography``'s ML-DSA signer is hedged)
+  and the deterministic SLH-DSA variant of :mod:`.slhdsa`.
+
+Both give the same bytes.  :func:`issuing_library` loads the library
+once per process, on the first issuance; issuance stays on ``python``
+when ``PQCHAINLAB_LIBCRYPTO`` is empty, when the library does not load
+or when it lacks either algorithm.  The library is never searched for.
 
 :mod:`~pqchainlab.crypto.mldsa`, and with it NumPy, is imported on the
-first deterministic ML-DSA signature, so processes that never issue a
-certificate do not load it.  Likewise :mod:`~pqchainlab.crypto.slhdsa` is
-imported on the first SLH-DSA operation.  Both are called through their
-module attributes.  Each ML-DSA issuer seed is expanded at most once per
-process: the expanded key is memoised by seed.
+first deterministic ML-DSA signature on ``python``, so processes that
+never issue a certificate there do not load it.  Likewise
+:mod:`~pqchainlab.crypto.slhdsa` is imported on the first Python SLH-DSA
+operation.  Both are called through their module attributes.  Each
+ML-DSA issuer seed is expanded at most once per process: the expanded
+key is memoised by seed.
 """
 
 from __future__ import annotations
@@ -40,6 +52,12 @@ SLHDSA_N = 24
 SLHDSA_SEED_BYTES = 3 * SLHDSA_N  # SK.seed || SK.prf || PK.seed
 SLHDSA_PUBLIC_KEY_BYTES = 2 * SLHDSA_N
 SLHDSA_SIGNATURE_BYTES = 16224
+
+LIBCRYPTO_ENV = "PQCHAINLAB_LIBCRYPTO"
+# OpenSSL 3.5.6, as a Miniconda installation in the home directory ships
+# it.  The library is named by path only: a bare ``libcrypto.so.3`` may
+# resolve to an OpenSSL 3.0 without either algorithm.
+DEFAULT_LIBCRYPTO = "~/miniconda/lib/libcrypto.so.3"
 
 
 class CryptoError(Exception):
@@ -88,6 +106,25 @@ class KeyPair:
             )
 
 
+@functools.lru_cache(maxsize=None)
+def issuing_library():
+    """The :class:`.openssl.Library` that issues certificates, or None to issue in Python."""
+    path = os.environ.get(LIBCRYPTO_ENV, DEFAULT_LIBCRYPTO)
+    if not path:
+        return None
+    from . import openssl
+
+    return openssl.load(path)
+
+
+def issuance_backend() -> dict:
+    """Name, library path and OpenSSL version of the issuance backend, for manifests."""
+    lib = issuing_library()
+    if lib is None:
+        return {"name": "python", "library": None, "openssl_version": None}
+    return {"name": "openssl", "library": lib.path, "openssl_version": lib.version}
+
+
 def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
     """Generate a signature keypair; a seed makes the result reproducible."""
     params = SIG_PARAMS[alg]
@@ -99,6 +136,9 @@ def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
         if alg is SigFamily.ML_DSA_65:
             key = _pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes(seed)
             return KeyPair(alg, key.public_key().public_bytes_raw(), seed)
+        lib = issuing_library()
+        if lib is not None:
+            return KeyPair(alg, *lib.slh_keygen(seed))
         from . import slhdsa
 
         pk, key = slhdsa.keygen_from_seed(seed)
@@ -147,6 +187,9 @@ class Signer:
     def sign_deterministic(self, message: bytes) -> bytes:
         """Reproducible signature, used for certificate issuance."""
         try:
+            lib = issuing_library()
+            if lib is not None:
+                return lib.sign_deterministic(self.algorithm.value, self._secret, message)
             if self._slh is not None:
                 from . import slhdsa
 

@@ -1,12 +1,15 @@
 """SLH-DSA-SHAKE-192s (FIPS 205 parameter set), pure Python.
 
-No C backend for this family is available in the environment, so the
-stateless hash-based scheme is implemented directly on top of
-``hashlib.shake_256``.  The cost profile is exactly the point of the
-lab: signing walks ~3.8M short SHAKE evaluations (seconds), key
-generation builds one 512-leaf subtree (sub-second), verification
-recomputes ~3k hashes (milliseconds).  Inner loops are written against
-precomputed address prefixes to keep per-hash overhead low.
+``cryptography`` exposes no SLH-DSA, so the stateless hash-based scheme
+is implemented directly on top of ``hashlib.shake_256``.  This module
+signs CertificateVerify and verifies every SLH-DSA signature on the
+handshake path.  Certificate issuance runs on OpenSSL 3.5 when it loads
+(see :mod:`.backend`), which gives the same bytes more than twice as
+fast.  The cost profile is exactly the point of the lab: signing walks
+~3.8M short SHAKE evaluations (seconds), key generation builds one
+512-leaf subtree (sub-second), verification recomputes ~3k hashes
+(milliseconds).  Inner loops are written against precomputed address
+prefixes to keep per-hash overhead low.
 
 Key generation is deterministic from a 72-byte seed
 (``SK.seed || SK.prf || PK.seed``).  Signing is deterministic when

@@ -5,6 +5,7 @@ import pytest
 
 from pqchainlab import handshake as hs
 from pqchainlab import pki
+from pqchainlab.crypto import backend
 from pqchainlab.scenario import enumerate_matrix, find_scenario
 
 SEED = bytes.fromhex("a5" * 32)
@@ -51,6 +52,18 @@ def run_handshake(hierarchy, kex, policy=pki.ServedChainPolicy.MIRROR, tamper=No
     if trust is None:
         trust = pki.client_trust_store(hierarchy, policy)
     return pump(hs.client_flow(kex, trust), hs.server_flow(material), tamper)
+
+
+@pytest.fixture
+def libcrypto_env(monkeypatch):
+    """``set(path)`` sets ``PQCHAINLAB_LIBCRYPTO`` for one test; "" selects Python issuance."""
+
+    def set_path(path: str) -> None:
+        monkeypatch.setenv(backend.LIBCRYPTO_ENV, path)
+        backend.issuing_library.cache_clear()
+
+    yield set_path
+    backend.issuing_library.cache_clear()  # resolved again under the restored setting
 
 
 def pytest_terminal_summary(terminalreporter):

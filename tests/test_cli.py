@@ -12,7 +12,7 @@ from pqchainlab.cli import (
     fixture_path,
     main,
 )
-from pqchainlab.crypto.backend import CryptoError
+from pqchainlab.crypto.backend import CryptoError, issuance_backend
 
 
 def test_gen_scenarios_default(tmp_path):
@@ -79,8 +79,13 @@ def test_provision_and_bench_small(tmp_path):
     samples = (results / f"{ids[0]}.jsonl").read_text().splitlines()
     assert len(samples) == 5
     assert (results / "master_summary.csv").exists()
-    # the results manifest records the seed that provisioned the PKI
-    assert json.loads((results / "manifest.json").read_text())["seed_hex"] == "0abc"
+    # the results manifest records the seed and the issuance backend that
+    # provisioned the PKI, and the host's steal time over the run
+    manifest = json.loads((results / "manifest.json").read_text())
+    assert manifest["seed_hex"] == "0abc"
+    provisioned = json.loads((pki_dir / "manifest.json").read_text())
+    assert manifest["issuance_backend"] == provisioned["issuance_backend"] == issuance_backend()
+    assert 0.0 <= manifest["host_steal_share"] < 1.0
 
 
 MIXED = [
@@ -105,6 +110,20 @@ def test_provision_bytes_and_output_do_not_depend_on_jobs(tmp_path, capsys):
     # a .cert and a .key per position: one depth-3 and four depth-2 hierarchies
     assert len(trees["1"]) == 2 * (3 + 2 + 2 + 2 + 2)
     assert trees["1"] == trees["2"] == trees["5"]
+
+
+def test_provision_falls_back_to_python_when_libcrypto_is_missing(tmp_path, libcrypto_env):
+    ids = ["x25519mlkem768__ml_root__slh_leaf", "mlkem768__ml_root__ml_leaf"]
+    trees, backends = [], []
+    for name in ("default", "missing"):
+        if name == "missing":
+            libcrypto_env(str(tmp_path / "missing" / "libcrypto.so.3"))
+        out = tmp_path / name
+        assert main(["provision", "--select", *ids, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        trees.append({str(f.relative_to(out)): f.read_bytes() for f in out.glob("*/*.*")})
+        backends.append(json.loads((out / "manifest.json").read_text())["issuance_backend"])
+    assert len(trees[0]) == 8 and trees[0] == trees[1]
+    assert backends[1] == {"name": "python", "library": None, "openssl_version": None}
 
 
 @pytest.mark.parametrize("forked", [True, False])
@@ -214,6 +233,18 @@ def test_analyze_partial_input_with_explicit_baseline(tmp_path):
 
     # without a usable baseline the command refuses clearly
     assert main(["analyze", "--input", str(partial), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+
+
+def test_report_honours_baseline(tmp_path):
+    other = "x25519mlkem768__slh_root__ml_int__ml_leaf"  # campaign B, as the strategy matrix needs
+    out = {name: tmp_path / name for name in ("default", "other")}
+    assert main(["report", "--fixture", "paper", "--out", str(out["default"])]) == EXIT_OK
+    argv = ["report", "--fixture", "paper", "--out", str(out["other"]), "--baseline", other]
+    assert main(argv) == EXIT_OK
+    for name in ("strategy_matrix.csv", "capacity.csv", "summary.txt"):
+        assert (out["default"] / name).read_text() != (out["other"] / name).read_text()
+    argv[4:] = [str(tmp_path / "x"), "--baseline", "x25519__slh_root__slh_int__slh_leaf"]
+    assert main(argv) == EXIT_USAGE
 
 
 def test_analyze_missing_baseline(tmp_path):

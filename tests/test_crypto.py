@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,11 +9,33 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import mldsa as pyca_mldsa
 
 import pqchainlab
-from pqchainlab.crypto import backend, mldsa, slhdsa
+from pqchainlab.crypto import backend, mldsa, openssl, slhdsa
 from pqchainlab.scenario import KexMode, SigFamily
 
 ML_SEED = bytes(range(32))
 SLH_SEED = bytes(range(72))
+ML, SLH = SigFamily.ML_DSA_65, SigFamily.SLH_DSA_SHAKE_192S
+LIBCRYPTO = os.environ.get(backend.LIBCRYPTO_ENV) or backend.DEFAULT_LIBCRYPTO
+
+
+def _subprocess_env(**overrides) -> dict:
+    """This environment, with this checkout's ``pqchainlab`` importable."""
+    path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **overrides)
+
+
+@pytest.fixture(scope="module")
+def libcrypto():
+    lib = openssl.load(LIBCRYPTO)
+    if lib is None:
+        pytest.skip(f"no OpenSSL libcrypto with ML-DSA-65 and SLH-DSA-SHAKE-192s at {LIBCRYPTO}")
+    return lib
+
+
+def _flip(signature: bytes, offset: int) -> bytes:
+    bad = bytearray(signature)
+    bad[offset] ^= 0x01
+    return bytes(bad)
 
 
 class TestMlDsa:
@@ -83,6 +106,7 @@ class TestMlDsa:
         assert params.signature_len == mldsa.SIGNATURE_BYTES
 
     def test_numpy_loads_only_for_deterministic_ml_signing(self):
+        # observes mldsa itself, so issuance is pinned to python
         code = (
             "import sys\n"
             "import pqchainlab.bench, pqchainlab.cli, pqchainlab.handshake, pqchainlab.pki\n"
@@ -93,11 +117,9 @@ class TestMlDsa:
             "backend.sign(kp, b'm', deterministic=True)\n"
             "print('numpy' in sys.modules)\n"
         )
-        path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env=env,
+            env=_subprocess_env(PQCHAINLAB_LIBCRYPTO=""),
             capture_output=True,
             text=True,
             timeout=120,
@@ -105,7 +127,8 @@ class TestMlDsa:
         )
         assert out.stdout.split() == ["False", "True"]
 
-    def test_issuer_key_expanded_once(self, monkeypatch):
+    def test_issuer_key_expanded_once(self, monkeypatch, libcrypto_env):
+        libcrypto_env("")  # observes mldsa itself
         calls = []
         original = mldsa.keygen_from_seed
 
@@ -170,6 +193,103 @@ class TestSlhDsa:
         )
 
 
+class TestOpenSslOracle:
+    """OpenSSL 3.5 against mldsa.py, slhdsa.py and pyca: same bytes, mutual verification."""
+
+    def test_ml_deterministic_signatures_identical_and_mutually_verified(self, libcrypto):
+        for i in range(4):
+            seed, msg = bytes([i]) * 32, b"tbs digest %d" % i
+            pk, sk = mldsa.keygen_from_seed(seed)
+            ours = mldsa.sign_deterministic(sk, msg)
+            theirs = libcrypto.sign_deterministic(ML.value, seed, msg)
+            assert theirs == ours
+            hedged = backend.Signer(backend.generate_keypair(ML, seed)).sign(msg)
+            for sig in (ours, hedged):
+                assert libcrypto.verify(ML.value, pk, msg, sig)
+                assert backend.verify(ML, pk, msg, sig)
+                bad = _flip(sig, 7 * i)
+                assert not libcrypto.verify(ML.value, pk, msg, bad)
+                assert not backend.verify(ML, pk, msg, bad)
+
+    @pytest.mark.slow
+    def test_slh_keygen_and_deterministic_signature_identical(self, libcrypto, slh_material):
+        pk, key, msg, sig = slh_material
+        assert libcrypto.slh_keygen(SLH_SEED) == (pk, key.to_bytes())
+        other = bytes(range(100, 172))
+        python_pk, python_key = slhdsa.keygen_from_seed(other)
+        assert libcrypto.slh_keygen(other) == (python_pk, python_key.to_bytes())
+        assert libcrypto.sign_deterministic(SLH.value, key.to_bytes(), msg) == sig
+
+    @pytest.mark.slow
+    def test_slh_signatures_mutually_verified_and_flips_rejected(self, libcrypto, slh_material):
+        pk, _key, msg, sig = slh_material
+        assert libcrypto.verify(SLH.value, pk, msg, sig)
+        assert slhdsa.verify(pk, msg, sig)
+        assert not libcrypto.verify(SLH.value, pk, msg + b"x", sig)
+        for offset in (0, 24, 5000, len(sig) - 1):
+            bad = _flip(sig, offset)
+            assert not libcrypto.verify(SLH.value, pk, msg, bad)
+            assert not slhdsa.verify(pk, msg, bad)
+
+    def test_backends_issue_the_same_bytes(self, libcrypto, libcrypto_env):
+        """The facade under both backends: SLH-DSA keygen and deterministic ML-DSA signing."""
+        seed = bytes(range(1, 73))
+        issued = []
+        for path in (libcrypto.path, ""):
+            libcrypto_env(path)
+            assert backend.issuance_backend()["name"] == ("openssl" if path else "python")
+            slh = backend.generate_keypair(SLH, seed)
+            ml = backend.generate_keypair(ML, ML_SEED)
+            issued.append((slh, backend.sign(ml, slh.public_key, deterministic=True)))
+        assert issued[0] == issued[1]
+
+    def test_load_refuses_what_is_not_an_openssl_35_libcrypto(self, tmp_path):
+        import _ctypes
+
+        empty = tmp_path / "empty.so"
+        empty.write_bytes(b"")
+        for path in (tmp_path / "libcrypto.so.3", empty, _ctypes.__file__):
+            assert openssl.load(str(path)) is None
+
+    def test_load_never_lets_the_loader_search(self, monkeypatch, tmp_path):
+        opened = []
+
+        def refuse(path):
+            opened.append(path)
+            raise OSError(path)
+
+        monkeypatch.setattr(openssl.ctypes, "CDLL", refuse)
+        monkeypatch.chdir(tmp_path)
+        assert openssl.load("libcrypto.so.3") is None
+        assert opened == [str(tmp_path / "libcrypto.so.3")]
+
+
+def test_openssl_provisioning_loads_neither_numpy_nor_mldsa(libcrypto, tmp_path):
+    code = (
+        "import sys\n"
+        "from pqchainlab import cli\n"
+        "assert cli.main(sys.argv[2:]) == 0\n"
+        "print(*sorted(m for m in sys.argv[1].split(',') if m in sys.modules))\n"
+    )
+    watched = "numpy,pqchainlab.crypto.mldsa,pqchainlab.crypto.openssl"
+    ids = ["x25519mlkem768__ml_root__ml_int__slh_leaf", "mlkem768__ml_root__ml_leaf"]
+    argv = ["provision", "--jobs", "1", "--out", str(tmp_path), "--select", *ids]
+    out = subprocess.run(
+        [sys.executable, "-c", code, watched, *argv],
+        env=_subprocess_env(PQCHAINLAB_LIBCRYPTO=libcrypto.path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "pqchainlab.crypto.openssl"
+    assert json.loads((tmp_path / "manifest.json").read_text())["issuance_backend"] == {
+        "name": "openssl",
+        "library": libcrypto.path,
+        "openssl_version": libcrypto.version,
+    }
+
+
 def test_set_up_imports_load_only_what_commands_run():
     code = (
         "import sys\n"
@@ -184,12 +304,12 @@ def test_set_up_imports_load_only_what_commands_run():
         "numpy",
         "multiprocessing",
         "concurrent.futures",
+        "ctypes",
+        "pqchainlab.crypto.openssl",
     ]
-    path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run(
         [sys.executable, "-c", code, *deferred],
-        env=env,
+        env=_subprocess_env(),
         capture_output=True,
         text=True,
         timeout=120,

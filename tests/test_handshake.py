@@ -317,3 +317,33 @@ def test_every_single_bit_flip_is_a_handshake_error(ml_d3_hierarchy):
             else:
                 escaped.append((frame[0], index, "handshake completed"))
     assert not escaped, f"{len(escaped)} mutations escaped (type, offset, outcome): {escaped[:10]}"
+
+
+def test_handshake_and_validation_never_reach_openssl(
+    ml_d3_hierarchy, slh_root_d2_hierarchy, monkeypatch
+):
+    """Only issuance may run on OpenSSL: CertificateVerify signing and every
+    path-validation verify stay on slhdsa.py and pyca."""
+    from pqchainlab.crypto import openssl, slhdsa
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the handshake reached crypto/openssl.py")
+
+    monkeypatch.setattr(backend, "issuing_library", refuse)
+    for name in ("slh_keygen", "sign_deterministic", "verify"):
+        monkeypatch.setattr(openssl.Library, name, refuse)
+    for scenario, h in (ml_d3_hierarchy, slh_root_d2_hierarchy):
+        for policy in ServedChainPolicy:
+            client, server, _ = run_handshake(h, scenario.kex, policy)
+            assert client.secrets.master_secret == server.secrets.master_secret
+            assert server.client_finished_ok
+    # An SLH-DSA leaf signs CertificateVerify hedged, through slhdsa.sign.
+    opt_rands = []
+
+    def record(key, message, ctx=b"", opt_rand=None):
+        opt_rands.append(opt_rand)
+        return bytes(slhdsa.SIGNATURE_BYTES)
+
+    monkeypatch.setattr(slhdsa, "sign", record)
+    backend.Signer(slh_root_d2_hierarchy[1].root[1]).sign(b"transcript hash")
+    assert len(opt_rands) == 1 and len(opt_rands[0]) == slhdsa.N

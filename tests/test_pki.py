@@ -1,5 +1,7 @@
 import hashlib
 import random
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -301,3 +303,40 @@ def test_ml_issued_certificates_match_golden_bytes(matrix):
         for cert in build_hierarchy(s, SEED, now=DEFAULT_NOW).certificates():
             digest.update(len(cert.encoded).to_bytes(4, "big") + cert.encoded)
     assert digest.hexdigest() == ML_ISSUED_GOLDEN_SHA256
+
+
+def _openssl_35():
+    """The ``openssl`` on PATH if it is OpenSSL 3.5 or later, else None."""
+    exe = shutil.which("openssl")
+    if exe is None:
+        return None
+    out = subprocess.run([exe, "version"], capture_output=True, text=True, timeout=60)
+    words = out.stdout.split()
+    try:
+        version = tuple(int(part) for part in words[1].split(".")[:2])
+    except (IndexError, ValueError):
+        return None
+    return exe if words[0] == "OpenSSL" and version >= (3, 5) else None
+
+
+# The lab's root certificate against an X.509 DER self-signed root with the
+# same subject, a critical CA:TRUE basic constraint and OpenSSL's default
+# subject key identifier: len(lab) / len(DER) - 1.
+DER_GAPS = {SigFamily.ML_DSA_65: -0.0267, SigFamily.SLH_DSA_SHAKE_192S: -0.0087}
+
+
+@pytest.mark.parametrize("hierarchy", ["ml_d2_hierarchy", "slh_root_d2_hierarchy"])
+def test_encoding_size_close_to_x509_der(request, tmp_path, hierarchy):
+    exe = _openssl_35()
+    if exe is None:
+        pytest.skip("no OpenSSL 3.5 or later on PATH")
+    _, h = request.getfixturevalue(hierarchy)
+    root = h.root[0]
+    der = tmp_path / "root.der"
+    argv = [exe, "req", "-x509", "-config", "/dev/null", "-newkey", root.key_family.value]
+    argv += ["-keyout", str(tmp_path / "root.pem"), "-nodes", "-subj", f"/CN={root.subject}"]
+    argv += ["-addext", "basicConstraints=critical,CA:TRUE", "-days", "365"]
+    argv += ["-outform", "DER", "-out", str(der)]
+    subprocess.run(argv, capture_output=True, timeout=120, check=True)
+    gap = len(root.encoded) / der.stat().st_size - 1
+    assert gap == pytest.approx(DER_GAPS[root.key_family], abs=0.001)
