@@ -15,7 +15,7 @@ import csv
 import enum
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +23,7 @@ from .bench import CSV_COLUMNS, RunAggregate, SchemaError, read_master_summary, 
 from .config import AnalysisConfig
 from .scenario import (
     Placement,
+    PlacementClass,
     SigFamily,
     classify_placement,
     compose_scenario_id,
@@ -186,7 +187,7 @@ def campaign_a_pairs(rows: Sequence[RunAggregate]) -> list[LeafPairRow]:
 # --- placement summary ------------------------------------------------------
 
 
-PLACEMENT_CLASSES = ("all_ml", "root_slh_leaf_not_slh", "intermediate_slh_any", "leaf_slh")
+PLACEMENT_CLASSES = tuple(f.name for f in fields(PlacementClass))
 
 
 @dataclass(frozen=True)
@@ -428,15 +429,10 @@ CORRELATION_METRICS = ("bytes_read", "chain_bytes_unique")
 def _subset(rows: Sequence[RunAggregate], name: str) -> list[RunAggregate]:
     if name == "all_scenarios":
         return list(rows)
-    leaf_slh = [
-        r for r in rows if _placement(r).leaf is SigFamily.SLH_DSA_SHAKE_192S
-    ]
-    if name == "leaf_slh_only":
-        return leaf_slh
-    if name == "non_leaf_slh":
-        excluded = {id(r) for r in leaf_slh}
-        return [r for r in rows if id(r) not in excluded]
-    raise ValueError(f"unknown subset {name!r}")
+    if name not in ("leaf_slh_only", "non_leaf_slh"):
+        raise ValueError(f"unknown subset {name!r}")
+    leaf_slh = name == "leaf_slh_only"
+    return [r for r in rows if classify_placement(_placement(r)).leaf_slh == leaf_slh]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -859,10 +855,7 @@ def run_all(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     normalized = normalize_to_baseline(rows, cfg.baseline_id)
-    campaign_b = [r for r in rows if r.campaign == "B"]
-    strategy_matrix = (
-        normalize_to_baseline(campaign_b, cfg.baseline_id) if campaign_b else normalized
-    )
+    strategy_matrix = [n for r, n in zip(rows, normalized) if r.campaign == "B"] or normalized
     economics = economic_model(rows, cfg)
 
     def attempt(fn, name):
@@ -891,9 +884,7 @@ def run_all(
         "capacity": capacity_model(rows, cfg.baseline_id),
         "economics": economics,
         "service_classes": service_class_table(economics, cfg),
-        "plausibility": plausibility_rank(
-            rows, strategy_matrix if campaign_b else normalized, cfg
-        ),
+        "plausibility": plausibility_rank(rows, strategy_matrix, cfg),
     }
     for name, table in results.items():
         write_rows(table, out_dir / f"{name}.csv")

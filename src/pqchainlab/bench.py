@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import handshake as hs
 from . import pki
-from .scenario import Scenario, SigFamily
+from .scenario import Scenario
 
 class ScenarioFailed(Exception):
     """A handshake failed mid-campaign; the scenario's data is discarded."""
@@ -134,9 +134,8 @@ class BenchConfig:
 
 
 def _runs_for(scenario: Scenario, cfg: BenchConfig) -> tuple[int, int]:
-    heavy = scenario.placement.leaf is SigFamily.SLH_DSA_SHAKE_192S
     runs = cfg.runs if cfg.runs is not None else scenario.runs
-    if heavy and cfg.runs_heavy is not None:
+    if scenario.placement_class.leaf_slh and cfg.runs_heavy is not None:
         runs = cfg.runs_heavy
     warmup = cfg.warmup if cfg.warmup is not None else scenario.warmup_runs
     return runs, warmup

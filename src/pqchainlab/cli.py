@@ -23,6 +23,7 @@ from .crypto.backend import CryptoError
 from .scenario import (
     Scenario,
     SigFamily,
+    classify_placement,
     enumerate_matrix,
     find_scenario,
     parse_scenario_id,
@@ -227,7 +228,7 @@ def _emit_plots(rows, results, out_dir: Path) -> None:
     from . import svgplot
 
     rows = sorted(rows, key=lambda r: r.scenario_id)
-    leaf_slh = [parse_scenario_id(r.scenario_id)[1].leaf.token == "slh" for r in rows]
+    leaf_slh = [classify_placement(parse_scenario_id(r.scenario_id)[1]).leaf_slh for r in rows]
     svgplot.log_bar_chart(
         [r.scenario_id for r in rows],
         [r.mean_ms for r in rows],
@@ -327,71 +328,8 @@ def _check(name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-def live_property_checks(rows) -> bool:
-    """Property gates for live data (absolute reference values do not
-    transfer across hardware; directions and separations must)."""
-    from . import analytics
-
-    by_id = {r.scenario_id: r for r in rows}
-    ok = True
-
-    pairs = analytics.campaign_a_pairs(rows)
-    for pair in pairs:
-        ok &= _check(
-            f"regime separation ({pair.tls_group})",
-            pair.latency_ratio >= 100,
-            f"SLH/ML latency ratio {pair.latency_ratio:.1f} (gate >= 100)",
-        )
-
-    for row in rows:
-        placement = parse_scenario_id(row.scenario_id)[1]
-        if placement.leaf is SigFamily.SLH_DSA_SHAKE_192S:
-            ok &= _check(
-                f"server-bound ({row.scenario_id})",
-                row.server_over_elapsed >= 0.9 and row.srv_cli_ratio >= 10,
-                f"srv/elapsed {row.server_over_elapsed:.3f}, srv/cli {row.srv_cli_ratio:.1f}",
-            )
-        elif all(f is SigFamily.ML_DSA_65 for f in placement.families()):
-            ok &= _check(
-                f"balanced ({row.scenario_id})",
-                0.5 <= row.srv_cli_ratio <= 2.0,
-                f"srv/cli {row.srv_cli_ratio:.3f} (gate [0.5, 2.0])",
-            )
-
-    base = by_id.get("x25519mlkem768__ml_root__ml_int__ml_leaf")
-    upper = by_id.get("x25519mlkem768__slh_root__ml_int__ml_leaf")
-    if base and upper:
-        ratio = upper.mean_ms / base.mean_ms
-        ok &= _check("upper-layer bound", ratio <= 20, f"latency ratio {ratio:.2f} (gate <= 20)")
-
-    d2 = by_id.get("x25519mlkem768__slh_root__ml_leaf")
-    d3 = by_id.get("x25519mlkem768__slh_root__ml_int__ml_leaf")
-    if d2 and d3:
-        ok &= _check(
-            "effective exposure direction",
-            d3.bytes_read < d2.bytes_read and d3.mean_ms < d2.mean_ms,
-            f"bytes {d3.bytes_read:.0f} < {d2.bytes_read:.0f}, "
-            f"latency {d3.mean_ms:.2f} < {d2.mean_ms:.2f} ms",
-        )
-    ok &= _check(
-        "mirrored chain exposure",
-        all(r.chain_len_unique == 2 for r in rows),
-        "chain_len_unique == 2 for all scenarios",
-    )
-
-    ces = analytics.counterexamples(rows, "bytes_read", top_k=1, min_latency_ratio=50.0)
-    ok &= _check(
-        "transport/crypto dissociation",
-        bool(ces),
-        f"best pair ratio {ces[0].latency_ratio_higher_over_lower:.1f} (gate >= 50)"
-        if ces
-        else "no counterexample pair with ratio >= 50",
-    )
-    return bool(ok)
-
-
 def cmd_reproduce(args) -> int:
-    from . import analytics
+    from . import analytics, claims
     from .config import load_config
 
     out_dir = Path(args.out)
@@ -400,15 +338,8 @@ def cmd_reproduce(args) -> int:
 
     print("== analytics against the shipped reference table ==")
     fixture_rows = analytics.load_summary(fixture_path())
-    results = analytics.run_all(fixture_rows, out_dir / "fixture_analysis", cfg)
-    pairs = {p.tls_group: p for p in results["campaignA_pairs"]}
-    gates = [
-        ("campaign A classical ratio", pairs["x25519"].latency_ratio, 2127.865),
-        ("campaign A hybrid ratio", pairs["x25519mlkem768"].latency_ratio, 1682.137),
-    ]
-    ok = True
-    for name, got, want in gates:
-        ok &= _check(name, abs(got - want) / want <= 0.005, f"{got:.3f} vs published {want}")
+    analytics.run_all(fixture_rows, out_dir / "fixture_analysis", cfg)
+    ok = all([_check(*check) for check in claims.evaluate(claims.FIXTURE, fixture_rows)])
     if args.fixture_only:
         return EXIT_OK if ok else EXIT_TRANSPORT
 
@@ -438,7 +369,7 @@ def cmd_reproduce(args) -> int:
     bench.write_rows(aggregates, results_dir / "master_summary.csv")
 
     print("== property gates over live data ==")
-    ok &= live_property_checks(aggregates)
+    ok &= all([_check(*check) for check in claims.evaluate(claims.LIVE, aggregates)])
 
     print("== determinism spot-check ==")
     probe = find_scenario(scenarios, "x25519mlkem768__ml_root__ml_int__ml_leaf")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -87,11 +87,7 @@ class PlacementClass:
     leaf_slh: bool
 
     def flags(self) -> frozenset[str]:
-        return frozenset(
-            name
-            for name in ("all_ml", "root_slh_leaf_not_slh", "intermediate_slh_any", "leaf_slh")
-            if getattr(self, name)
-        )
+        return frozenset(f.name for f in fields(self) if getattr(self, f.name))
 
 
 def classify_placement(p: Placement) -> PlacementClass:
@@ -106,11 +102,8 @@ def classify_placement(p: Placement) -> PlacementClass:
 
 def conceptual_perf_group(p: Placement) -> str:
     """Three-way grouping used by the capacity and economic tables."""
-    if p.leaf is SigFamily.SLH_DSA_SHAKE_192S:
-        return "leaf_slh"
-    if all(f is SigFamily.ML_DSA_65 for f in p.families()):
-        return "all_ml"
-    return "root_slh_leaf_ml"
+    flags = classify_placement(p)
+    return "leaf_slh" if flags.leaf_slh else "all_ml" if flags.all_ml else "root_slh_leaf_ml"
 
 
 def compose_scenario_id(kex: KexMode, placement: Placement) -> str:
@@ -177,7 +170,7 @@ DEFAULT_WARMUP = 20
 
 def default_runs(placement: Placement) -> int:
     """Sampling policy: the leaf family decides the run count."""
-    return RUNS_HEAVY if placement.leaf is SigFamily.SLH_DSA_SHAKE_192S else RUNS_FAST
+    return RUNS_HEAVY if classify_placement(placement).leaf_slh else RUNS_FAST
 
 
 @dataclass(frozen=True)

@@ -4,26 +4,30 @@ Criterion 1 replays the full analytics pipeline over the shipped
 reference table and must reproduce the published figures at their
 stated tolerances.  Criteria 2-8 are live properties: absolute numbers
 are hardware-dependent, so the gates check regime separations,
-directions and determinism rather than published values.  Each test
-prints one PASS line; run with ``pytest tests/test_acceptance.py -v``.
+directions and determinism rather than published values.  Criteria 2-6
+and criterion 1's campaign-A ratios assert the checks that ``pqchainlab
+reproduce`` prints, from ``pqchainlab.claims``.  Each test prints one
+PASS line; run with ``pytest tests/test_acceptance.py -v``.
 
 The live portion provisions all 17 hierarchies and runs a reduced
 campaign (400 runs for fast scenarios, 5 for SLH-leaf ones); expect
 several minutes of SLH-DSA signing time.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 import conftest
+from conftest import PUBLISHED_REGIMES, rel
 
 from pqchainlab import analytics as an
-from pqchainlab import bench, handshake as hs, pki
-from pqchainlab.cli import EXIT_OK, fixture_path, main
+from pqchainlab import bench, claims, handshake as hs, pki
+from pqchainlab.cli import EXIT_OK, main
 from pqchainlab.config import AnalysisConfig
 from pqchainlab.pki import ServedChainPolicy
-from pqchainlab.scenario import SigFamily, enumerate_matrix, find_scenario, parse_scenario_id
+from pqchainlab.scenario import find_scenario
 
 SEED = bytes.fromhex("5eed" * 16)
 CFG = AnalysisConfig()
@@ -39,40 +43,28 @@ def _ok(criterion: str, detail: str) -> None:
     conftest.acceptance_lines.append(line)  # re-emitted in the terminal summary
 
 
-def rel(got, want, tol):
-    assert want != 0
-    assert abs(got - want) / abs(want) <= tol, f"got {got}, want {want} (±{tol:%})"
-
-
 # --- criterion 1: fixture-oracle suite ------------------------------------
-
-
-@pytest.fixture(scope="module")
-def fixture_rows():
-    return an.load_summary(fixture_path())
 
 
 def test_criterion_1_fixture_oracle(fixture_rows):
     rows = fixture_rows
 
-    pairs = {p.tls_group: p for p in an.campaign_a_pairs(rows)}
-    rel(pairs["x25519"].latency_ratio, 2127.865, 0.005)
-    rel(pairs["x25519mlkem768"].latency_ratio, 1682.137, 0.005)
+    assert all(check.passed for check in claims.evaluate(claims.FIXTURE, rows))
 
     norm = {n.scenario_id: n for n in an.normalize_to_baseline(rows, CFG.baseline_id)}
-    rel(norm["x25519mlkem768__slh_root__ml_int__ml_leaf"].latency_relative_to_baseline, 2.64, 0.005)
-    rel(norm["x25519mlkem768__ml_root__ml_int__slh_leaf"].latency_relative_to_baseline, 1733.49, 0.005)
-    rel(norm["x25519mlkem768__slh_root__slh_int__slh_leaf"].latency_relative_to_baseline, 1741.18, 0.005)
+    assert rel(norm["x25519mlkem768__slh_root__ml_int__ml_leaf"].latency_relative_to_baseline, 2.64)
+    assert rel(norm["x25519mlkem768__ml_root__ml_int__slh_leaf"].latency_relative_to_baseline, 1733.49)
+    assert rel(norm["x25519mlkem768__slh_root__slh_int__slh_leaf"].latency_relative_to_baseline, 1741.18)
 
     depth = {d.pair_label: d for d in an.depth_pairs(rows)}
-    rel(depth["SLH root + ML leaf"].latency_ratio, 0.6318, 0.005)
-    rel(depth["ML/ML"].latency_ratio, 0.9997, 0.005)
+    assert rel(depth["SLH root + ML leaf"].latency_ratio, 0.6318)
+    assert rel(depth["ML/ML"].latency_ratio, 0.9997)
 
     kex = {(k.comparison_type, k.family_label): k for k in an.kex_pairs(rows)}
-    rel(kex[("classical_vs_hybrid", "ML root / ML leaf (depth 2)")].latency_ratio_to_over_from, 1.2210, 0.005)
-    rel(kex[("classical_vs_hybrid", "SLH root / SLH leaf (depth 2)")].latency_ratio_to_over_from, 0.9652, 0.005)
-    rel(kex[("hybrid_vs_pure_pqc", "ML root / ML leaf (depth 2)")].latency_ratio_to_over_from, 0.8220, 0.005)
-    rel(kex[("hybrid_vs_pure_pqc", "SLH root / SLH leaf (depth 2)")].latency_ratio_to_over_from, 0.9984, 0.005)
+    assert rel(kex[("classical_vs_hybrid", "ML root / ML leaf (depth 2)")].latency_ratio_to_over_from, 1.2210)
+    assert rel(kex[("classical_vs_hybrid", "SLH root / SLH leaf (depth 2)")].latency_ratio_to_over_from, 0.9652)
+    assert rel(kex[("hybrid_vs_pure_pqc", "ML root / ML leaf (depth 2)")].latency_ratio_to_over_from, 0.8220)
+    assert rel(kex[("hybrid_vs_pure_pqc", "SLH root / SLH leaf (depth 2)")].latency_ratio_to_over_from, 0.9984)
 
     c_all = an.correlations(rows, "all_scenarios", "bytes_read")
     c_non = an.correlations(rows, "non_leaf_slh", "bytes_read")
@@ -83,49 +75,36 @@ def test_criterion_1_fixture_oracle(fixture_rows):
     assert abs(c_slh.pearson_r - 0.3518) <= 0.002
 
     top = an.counterexamples(rows, "bytes_read", 1)[0]
-    rel(top.latency_ratio_higher_over_lower, 416.5316, 0.005)
+    assert rel(top.latency_ratio_higher_over_lower, 416.5316)
 
     placement = {p.placement_class: p for p in an.placement_summary(rows, CFG.baseline_id)}
-    rel(placement["all_ml"].mean_elapsed_ms, 0.763, 0.005)
-    rel(placement["root_slh_leaf_not_slh"].mean_elapsed_ms, 2.464, 0.005)
-    rel(placement["intermediate_slh_any"].mean_elapsed_ms, 1407.253, 0.005)
-    rel(placement["leaf_slh"].mean_elapsed_ms, 1413.171, 0.005)
+    assert rel(placement["all_ml"].mean_elapsed_ms, 0.763)
+    assert rel(placement["root_slh_leaf_not_slh"].mean_elapsed_ms, 2.464)
+    assert rel(placement["intermediate_slh_any"].mean_elapsed_ms, 1407.253)
+    assert rel(placement["leaf_slh"].mean_elapsed_ms, 1413.171)
 
     capacity = {c.scenario_id: c for c in an.capacity_model(rows, CFG.baseline_id)}
-    rel(capacity[CFG.baseline_id].handshakes_per_core_second, 1779.68, 0.001)
-    rel(capacity[CFG.baseline_id].handshakes_per_vcpu_hour, 6406856.76, 0.001)
-    rel(capacity["mlkem768__ml_root__ml_leaf"].capacity_retained_vs_baseline, 1.0906, 0.001)
-    rel(capacity["mlkem768__ml_root__ml_leaf"].infrastructure_multiplier_needed, 0.9169, 0.001)
+    assert rel(capacity[CFG.baseline_id].handshakes_per_core_second, 1779.68, 0.001)
+    assert rel(capacity[CFG.baseline_id].handshakes_per_vcpu_hour, 6406856.76, 0.001)
+    assert rel(capacity["mlkem768__ml_root__ml_leaf"].capacity_retained_vs_baseline, 1.0906, 0.001)
+    assert rel(capacity["mlkem768__ml_root__ml_leaf"].infrastructure_multiplier_needed, 0.9169, 0.001)
 
     eco = {e.scenario_id: e for e in an.economic_model(rows, CFG)}
-    rel(eco[CFG.baseline_id].cpu_hours_per_million, 0.1561, 0.005)
-    rel(eco[CFG.baseline_id].cost_per_million, 0.006243, 0.005)
-    rel(eco["x25519__leaf_slhdsashake192s"].cost_per_million, 16.2476, 0.005)
-    rel(eco["x25519__leaf_slhdsashake192s"].cost_multiplier_vs_baseline, 2602.40, 0.005)
+    assert rel(eco[CFG.baseline_id].cpu_hours_per_million, 0.1561)
+    assert rel(eco[CFG.baseline_id].cost_per_million, 0.006243)
+    assert rel(eco["x25519__leaf_slhdsashake192s"].cost_per_million, 16.2476)
+    assert rel(eco["x25519__leaf_slhdsashake192s"].cost_multiplier_vs_baseline, 2602.40)
 
     svc = {
         (s.service_class, s.conceptual_economic_class): s
         for s in an.service_class_table(list(eco.values()), CFG)
     }
-    rel(svc[("high_volume_frontend", "all_ml")].mean_monthly_cost, 18.87, 0.005)
-    rel(svc[("medium_api", "leaf_slh")].median_monthly_cost, 4683.01, 0.005)
-    rel(svc[("high_volume_frontend", "leaf_slh")].median_monthly_cost, 46830.11, 0.005)
+    assert rel(svc[("high_volume_frontend", "all_ml")].mean_monthly_cost, 18.87)
+    assert rel(svc[("medium_api", "leaf_slh")].median_monthly_cost, 4683.01)
+    assert rel(svc[("high_volume_frontend", "leaf_slh")].median_monthly_cost, 46830.11)
 
-    server_bound = {
-        "mlkem768__slh_root__slh_leaf", "x25519__leaf_slhdsashake192s",
-        "x25519mlkem768__leaf_slhdsashake192s", "x25519mlkem768__ml_root__ml_int__slh_leaf",
-        "x25519mlkem768__ml_root__slh_int__slh_leaf", "x25519mlkem768__ml_root__slh_leaf",
-        "x25519mlkem768__slh_root__ml_int__slh_leaf", "x25519mlkem768__slh_root__slh_int__slh_leaf",
-        "x25519mlkem768__slh_root__slh_leaf",
-    }
-    client_skewed = {"mlkem768__slh_root__ml_int__ml_leaf", "x25519mlkem768__slh_root__ml_int__ml_leaf"}
     for row in rows:
-        expected = (
-            "overwhelmingly_server_bound" if row.scenario_id in server_bound
-            else "client_skewed" if row.scenario_id in client_skewed
-            else "balanced"
-        )
-        assert an.regime_label(row).value == expected, row.scenario_id
+        assert an.regime_label(row).value == PUBLISHED_REGIMES.get(row.scenario_id, "balanced"), row.scenario_id
 
     campaign_b = [r for r in rows if r.campaign == "B"]
     ranking = an.plausibility_rank(campaign_b, an.normalize_to_baseline(campaign_b, CFG.baseline_id), CFG)
@@ -137,12 +116,28 @@ def test_criterion_1_fixture_oracle(fixture_rows):
     _ok("1 fixture-oracle", "all published figures reproduced at stated tolerances")
 
 
+@pytest.mark.parametrize(
+    "scenario_id, changes, failing",
+    [
+        (None, {}, set()),
+        ("x25519__leaf_slhdsashake192s", None, {"regime separation", "decomposition coverage"}),
+        ("x25519__leaf_slhdsashake192s", {"server_over_elapsed": 0.89}, {"server-bound"}),
+        ("x25519mlkem768__slh_root__ml_int__ml_leaf", None, {"upper layer bound", "effective exposure"}),
+    ],
+    ids=["reference-table", "no-classical-slh-leaf", "srv-elapsed-0.89", "no-slh-root-depth-3"],
+)
+def test_live_claims_over_reference_rows(fixture_rows, scenario_id, changes, failing):
+    """Every live check passes on the reference rows.  Dropping a row (``changes`` None)
+    or changing one fails exactly the ``failing`` checks, never raises."""
+    rows = [
+        dataclasses.replace(r, **changes) if r.scenario_id == scenario_id else r
+        for r in fixture_rows
+        if changes is not None or r.scenario_id != scenario_id
+    ]
+    assert {c.name for c in claims.evaluate(claims.LIVE, rows) if not c.passed} == failing
+
+
 # --- live fixtures ----------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def matrix17():
-    return enumerate_matrix()
 
 
 @pytest.fixture(scope="module")
@@ -154,86 +149,50 @@ def pki_all(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def live_sweep(pki_all, matrix17):
-    """One reduced campaign over the whole matrix under MIRROR serving."""
+def live_sweep(pki_all, matrix):
+    """One reduced campaign over the whole matrix under MIRROR serving, and its host steal share."""
     cfg = bench.BenchConfig(runs=FAST_RUNS, runs_heavy=HEAVY_RUNS, warmup=WARMUP)
     aggregates = {}
     samples = {}
-    for scenario in matrix17:
+    ticks = bench.host_cpu_ticks()
+    for scenario in matrix:
         runs = bench.run_scenario(scenario, pki_all, cfg)
         samples[scenario.display_id] = runs
         aggregates[scenario.display_id] = bench.aggregate(scenario, runs)
-    return aggregates, samples
+    return aggregates, samples, bench.steal_share(ticks, bench.host_cpu_ticks())
+
+
+def _assert_claim(criterion: str, claim, live_sweep) -> None:
+    aggregates, _, steal = live_sweep
+    checks = claims.evaluate([claim], list(aggregates.values()))
+    failed = [f"{c.name}: {c.detail}" for c in checks if not c.passed]
+    assert not failed, f"{'; '.join(failed)} (host steal share over the sweep: {steal})"
+    _ok(criterion, "; ".join(c.detail for c in checks))
 
 
 @pytest.mark.slow
 def test_criterion_2_regime_separation(live_sweep):
-    aggregates, _ = live_sweep
-    pairs = an.campaign_a_pairs(list(aggregates.values()))
-    assert len(pairs) == 2
-    for pair in pairs:
-        assert pair.latency_ratio >= 100, (
-            f"{pair.tls_group}: SLH/ML mean latency ratio {pair.latency_ratio:.1f} < 100"
-        )
-    _ok(
-        "2 regime-separation",
-        "; ".join(f"{p.tls_group} SLH/ML={p.latency_ratio:.0f}x" for p in pairs),
-    )
+    _assert_claim("2 regime-separation", claims.regime_separation, live_sweep)
 
 
 @pytest.mark.slow
 def test_criterion_3_server_bound_decomposition(live_sweep):
-    aggregates, _ = live_sweep
-    checked_slh = checked_ml = 0
-    for sid, agg in aggregates.items():
-        placement = parse_scenario_id(sid)[1]
-        if placement.leaf is SigFamily.SLH_DSA_SHAKE_192S:
-            assert agg.server_over_elapsed >= 0.9, f"{sid}: srv/elapsed {agg.server_over_elapsed:.3f}"
-            assert agg.srv_cli_ratio >= 10, f"{sid}: srv/cli {agg.srv_cli_ratio:.2f}"
-            checked_slh += 1
-        elif all(f is SigFamily.ML_DSA_65 for f in placement.families()):
-            assert 0.5 <= agg.srv_cli_ratio <= 2.0, f"{sid}: srv/cli {agg.srv_cli_ratio:.3f}"
-            checked_ml += 1
-    assert checked_slh == 9 and checked_ml == 5
-    _ok("3 server-bound-decomposition", f"{checked_slh} SLH-leaf + {checked_ml} all-ML scenarios in regime")
+    _assert_claim("3 server-bound-decomposition", claims.server_bound_decomposition, live_sweep)
 
 
 @pytest.mark.slow
 def test_criterion_4_upper_layer_bound(live_sweep):
-    aggregates, _ = live_sweep
-    upper = aggregates["x25519mlkem768__slh_root__ml_int__ml_leaf"]
-    base = aggregates["x25519mlkem768__ml_root__ml_int__ml_leaf"]
-    ratio = upper.mean_ms / base.mean_ms
-    assert ratio <= 20, f"upper-layer latency multiplier {ratio:.2f} > 20"
-    _ok("4 upper-layer-bound", f"slh_root__ml_int__ml_leaf at {ratio:.2f}x baseline")
+    _assert_claim("4 upper-layer-bound", claims.upper_layer_bound, live_sweep)
 
 
 @pytest.mark.slow
 def test_criterion_5_effective_exposure_direction(live_sweep):
-    aggregates, _ = live_sweep
-    d2 = aggregates["x25519mlkem768__slh_root__ml_leaf"]
-    d3 = aggregates["x25519mlkem768__slh_root__ml_int__ml_leaf"]
-    assert d3.bytes_read < d2.bytes_read
-    assert d3.mean_ms < d2.mean_ms
-    assert all(a.chain_len_unique == 2 for a in aggregates.values())
-    _ok(
-        "5 effective-exposure",
-        f"depth 3 reads {d2.bytes_read - d3.bytes_read:.0f} fewer bytes at "
-        f"{d3.mean_ms / d2.mean_ms:.3f}x the depth-2 latency; chain_len_unique == 2 everywhere",
-    )
+    _assert_claim("5 effective-exposure", claims.effective_exposure, live_sweep)
 
 
 @pytest.mark.slow
 def test_criterion_6_transport_crypto_dissociation(live_sweep):
-    aggregates, _ = live_sweep
-    found = an.counterexamples(list(aggregates.values()), "bytes_read", top_k=3, min_latency_ratio=50.0)
-    assert found, "no pair with more bytes and >= 50x lower latency"
-    top = found[0]
-    _ok(
-        "6 dissociation",
-        f"{top.scenario_more_bytes_lower_latency} reads {top.bytes_diff:.0f} more bytes yet is "
-        f"{top.latency_ratio_higher_over_lower:.0f}x faster than {top.scenario_less_bytes_higher_latency}",
-    )
+    _assert_claim("6 dissociation", claims.transport_crypto_dissociation, live_sweep)
 
 
 # --- criterion 7: handshake correctness -------------------------------------
@@ -247,11 +206,11 @@ def _handshake_worker(args):
 
 
 @pytest.mark.slow
-def test_criterion_7_handshake_correctness(pki_all, matrix17):
+def test_criterion_7_handshake_correctness(pki_all, matrix):
     from concurrent.futures import ProcessPoolExecutor
 
     # Each SLH-leaf handshake signs for seconds; two workers share them.
-    cases = [(scenario, policy, pki_all) for scenario in matrix17 for policy in ServedChainPolicy]
+    cases = [(scenario, policy, pki_all) for scenario in matrix for policy in ServedChainPolicy]
     completed = 0
     with ProcessPoolExecutor(max_workers=2) as pool:
         for (scenario, policy, _), (client_master, server_master, finished_ok) in zip(
@@ -263,7 +222,7 @@ def test_criterion_7_handshake_correctness(pki_all, matrix17):
     assert completed == 17 * 3
 
     # single-byte tampering of Certificate / CertificateVerify, randomized offsets
-    fast = find_scenario(matrix17, "x25519mlkem768__ml_root__ml_int__ml_leaf")
+    fast = find_scenario(matrix, "x25519mlkem768__ml_root__ml_int__ml_leaf")
     hierarchy = pki.load_hierarchy(pki_all / fast.display_id)
     rng = random.Random(0xC0FFEE)
     rejected = 0
@@ -288,17 +247,17 @@ def test_criterion_7_handshake_correctness(pki_all, matrix17):
 
 
 @pytest.mark.slow
-def test_criterion_8_determinism(pki_all, matrix17, live_sweep, tmp_path):
+def test_criterion_8_determinism(pki_all, matrix, live_sweep, tmp_path):
     # byte-identical re-provisioning, including an SLH-signed hierarchy
     for sid in ("x25519mlkem768__ml_root__ml_int__ml_leaf", "x25519mlkem768__slh_root__ml_leaf"):
-        scenario = find_scenario(matrix17, sid)
+        scenario = find_scenario(matrix, sid)
         rebuilt = pki.build_hierarchy(scenario, SEED)
         pki.write_hierarchy(rebuilt, tmp_path / sid)
         for item in sorted((pki_all / sid).iterdir()):
             assert (tmp_path / sid / item.name).read_bytes() == item.read_bytes(), (sid, item.name)
 
     # transport byte-constancy across every scenario of the sweep
-    _, samples = live_sweep
+    _, samples, _ = live_sweep
     for sid, runs in samples.items():
         assert len({s.bytes_read for s in runs}) == 1, sid
         assert len({s.bytes_written for s in runs}) == 1, sid

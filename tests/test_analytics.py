@@ -7,24 +7,17 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PUBLISHED_REGIMES, rel
+
 from pqchainlab import analytics as an
+from pqchainlab import claims
 from pqchainlab.analytics import SchemaError
 from pqchainlab.config import AnalysisConfig, load_config
-from pqchainlab.cli import fixture_path
-
-
-@pytest.fixture(scope="module")
-def fixture_rows():
-    return an.load_summary(fixture_path())
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return AnalysisConfig()
-
-
-def rel(got, want, tol=0.005):
-    return abs(got - want) / abs(want) <= tol
 
 
 class TestLoad:
@@ -63,8 +56,8 @@ class TestCampaignA:
     def test_published_ratios(self, fixture_rows):
         pairs = {p.tls_group: p for p in an.campaign_a_pairs(fixture_rows)}
         classical, hybrid = pairs["x25519"], pairs["x25519mlkem768"]
-        assert rel(classical.latency_ratio, 2127.865)
-        assert rel(hybrid.latency_ratio, 1682.137)
+        for group, published in claims.PUBLISHED_CAMPAIGN_A.items():
+            assert rel(pairs[group].latency_ratio, published, claims.PUBLISHED_TOLERANCE)
         assert rel(hybrid.bytes_read_ratio, 3.187)
         assert rel(classical.bytes_read_ratio, 3.347)
         assert rel(classical.server_taskclock_ratio, 2765.628)
@@ -271,29 +264,8 @@ class TestCounterexamples:
 
 class TestRegimes:
     def test_all_17_published_labels(self, fixture_rows):
-        published_server_bound = {
-            "mlkem768__slh_root__slh_leaf",
-            "x25519__leaf_slhdsashake192s",
-            "x25519mlkem768__leaf_slhdsashake192s",
-            "x25519mlkem768__ml_root__ml_int__slh_leaf",
-            "x25519mlkem768__ml_root__slh_int__slh_leaf",
-            "x25519mlkem768__ml_root__slh_leaf",
-            "x25519mlkem768__slh_root__ml_int__slh_leaf",
-            "x25519mlkem768__slh_root__slh_int__slh_leaf",
-            "x25519mlkem768__slh_root__slh_leaf",
-        }
-        published_client_skewed = {
-            "mlkem768__slh_root__ml_int__ml_leaf",
-            "x25519mlkem768__slh_root__ml_int__ml_leaf",
-        }
         for row in fixture_rows:
-            label = an.regime_label(row)
-            if row.scenario_id in published_server_bound:
-                assert label is an.RegimeLabel.OVERWHELMINGLY_SERVER_BOUND, row.scenario_id
-            elif row.scenario_id in published_client_skewed:
-                assert label is an.RegimeLabel.CLIENT_SKEWED, row.scenario_id
-            else:
-                assert label is an.RegimeLabel.BALANCED, row.scenario_id
+            assert an.regime_label(row).value == PUBLISHED_REGIMES.get(row.scenario_id, "balanced"), row.scenario_id
 
     def test_decomposition_table_shape(self, fixture_rows):
         table = an.decomposition_table(fixture_rows)

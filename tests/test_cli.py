@@ -4,6 +4,7 @@ import os
 import pytest
 
 from pqchainlab import pki
+from pqchainlab.bench import write_rows
 from pqchainlab.cli import (
     EXIT_CRYPTO,
     EXIT_OK,
@@ -198,22 +199,12 @@ def test_analyze_fixture(tmp_path):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
 
 
-def test_analyze_partial_input_with_explicit_baseline(tmp_path):
+def test_analyze_partial_input_with_explicit_baseline(tmp_path, fixture_rows):
     """A two-scenario results file analyzes fine once a baseline is named;
     inapplicable pairings degrade to warnings."""
-    import csv
-
-    from pqchainlab.bench import CSV_COLUMNS
-
-    rows = list(csv.DictReader(open(fixture_path())))
     keep = {"x25519__leaf_mldsa65", "x25519__leaf_slhdsashake192s"}
     partial = tmp_path / "partial.csv"
-    with open(partial, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            if row["scenario_id"] in keep:
-                writer.writerow(row)
+    write_rows([r for r in fixture_rows if r.scenario_id in keep], partial)
 
     out = tmp_path / "analysis"
     code = main(
@@ -236,7 +227,7 @@ def test_analyze_partial_input_with_explicit_baseline(tmp_path):
 
 
 def test_report_honours_baseline(tmp_path):
-    other = "x25519mlkem768__slh_root__ml_int__ml_leaf"  # campaign B, as the strategy matrix needs
+    other = "x25519mlkem768__slh_root__ml_int__ml_leaf"
     out = {name: tmp_path / name for name in ("default", "other")}
     assert main(["report", "--fixture", "paper", "--out", str(out["default"])]) == EXIT_OK
     argv = ["report", "--fixture", "paper", "--out", str(out["other"]), "--baseline", other]
@@ -245,6 +236,10 @@ def test_report_honours_baseline(tmp_path):
         assert (out["default"] / name).read_text() != (out["other"] / name).read_text()
     argv[4:] = [str(tmp_path / "x"), "--baseline", "x25519__slh_root__slh_int__slh_leaf"]
     assert main(argv) == EXIT_USAGE
+    # a baseline outside campaign B normalizes the strategy matrix's 6 campaign-B rows
+    argv[4:] = [str(tmp_path / "a"), "--baseline", "x25519__leaf_mldsa65"]
+    assert main(argv) == EXIT_OK
+    assert len((tmp_path / "a" / "strategy_matrix.csv").read_text().splitlines()) == 1 + 6
 
 
 def test_analyze_missing_baseline(tmp_path):
@@ -282,8 +277,11 @@ def test_report_writes_summary(tmp_path):
     assert "rank 4" in text
 
 
-def test_reproduce_fixture_only(tmp_path):
+def test_reproduce_fixture_only(tmp_path, capsys):
     assert main(["reproduce", "--fixture-only", "--out", str(tmp_path / "r")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS  campaign A classical ratio" in out and "PASS  campaign A hybrid ratio" in out
+    assert "FAIL" not in out
 
 
 def test_fixture_ships_with_package():

@@ -306,6 +306,7 @@ def test_set_up_imports_load_only_what_commands_run():
         "concurrent.futures",
         "ctypes",
         "pqchainlab.crypto.openssl",
+        "pqchainlab.claims",
     ]
     out = subprocess.run(
         [sys.executable, "-c", code, *deferred],
