@@ -23,22 +23,22 @@ IDS = [
 ]
 
 matrix = enumerate_matrix()
+scenarios = [find_scenario(matrix, sid) for sid in IDS]
 with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
-    for sid in IDS:
-        scenario = find_scenario(matrix, sid)
-        print(f"provisioning {sid} ...")
-        pki.write_hierarchy(pki.build_hierarchy(scenario, SEED), root / sid)
+    for scenario in scenarios:
+        print(f"provisioning {scenario.display_id} ...")
+        pki.write_hierarchy(pki.build_hierarchy(scenario, SEED), root / scenario.display_id)
 
     cfg = bench.BenchConfig(runs=150, runs_heavy=2, warmup=1)
     print(f"\n{'scenario':55s} {'mean ms':>10s} {'bytes':>8s} {'srv ms':>10s} {'srv/cli':>8s}")
-    for sid in IDS:
-        scenario = find_scenario(matrix, sid)
-        agg = bench.aggregate(scenario, bench.run_scenario(scenario, root, cfg))
-        print(
-            f"{sid:55s} {agg.mean_ms:10.3f} {agg.bytes_read:8.0f} "
+    bench.run_campaign(
+        scenarios, root, cfg,
+        progress=lambda agg, _: print(
+            f"{agg.scenario_id:55s} {agg.mean_ms:10.3f} {agg.bytes_read:8.0f} "
             f"{agg.server_task_ms:10.3f} {agg.srv_cli_ratio:8.2f}"
-        )
+        ),
+    )
 
 print(
     "\nReading the rows: placing the hash-based family above the leaf costs a small"

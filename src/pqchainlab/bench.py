@@ -299,6 +299,35 @@ def run_scenario(
     return samples
 
 
+def run_campaign(
+    scenarios: Sequence[Scenario], pki_dir: Path | str, cfg: BenchConfig,
+    out_dir: Path | str | None = None, progress=None,
+) -> tuple[dict[str, RunAggregate], dict[str, list[HandshakeSample]], Optional[float]]:
+    """Run and aggregate each scenario in order: the one measurement loop.
+
+    Returns the unrounded aggregates and the samples by scenario id, and the
+    host's steal share over the sweep.  With ``out_dir``, writes each
+    ``<id>.jsonl`` as its scenario ends and ``master_summary.csv`` at the
+    end.  ``progress(aggregate, seconds)`` is called after each scenario.
+    """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    aggregates, samples = {}, {}
+    ticks = host_cpu_ticks()
+    for scenario in scenarios:
+        sid, t0 = scenario.display_id, time.perf_counter()
+        samples[sid] = run_scenario(scenario, pki_dir, cfg)
+        aggregates[sid] = aggregate(scenario, samples[sid])
+        if out_dir is not None:
+            write_samples(samples[sid], out_dir / f"{sid}.jsonl")
+        if progress is not None:
+            progress(aggregates[sid], time.perf_counter() - t0)
+    if out_dir is not None:
+        write_rows(list(aggregates.values()), out_dir / "master_summary.csv")
+    return aggregates, samples, steal_share(ticks, host_cpu_ticks())
+
+
 # --- result files --------------------------------------------------------
 
 

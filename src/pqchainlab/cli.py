@@ -53,11 +53,15 @@ def _parse_seed(text: str) -> bytes:
 
 
 def _parse_runs(text: str) -> tuple[int, Optional[int]]:
-    """--runs N applies everywhere; --runs FAST/HEAVY splits by leaf family."""
-    if "/" in text:
-        fast, heavy = text.split("/", 1)
-        return int(fast), int(heavy)
-    return int(text), None
+    """--runs N applies everywhere; --runs FAST/HEAVY gives SLH-leaf scenarios HEAVY."""
+    fast, _, heavy = text.partition("/")
+    return int(fast), int(heavy) if heavy else None
+
+
+def _bench_config(args) -> bench.BenchConfig:
+    runs, runs_heavy = args.runs or (None, None)
+    return bench.BenchConfig(runs=runs, runs_heavy=runs_heavy, warmup=args.warmup,
+                             policy=pki.ServedChainPolicy(args.policy), now=args.now)
 
 
 def write_manifest(
@@ -88,19 +92,15 @@ def write_manifest(
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_matrix(path: Optional[str]) -> list[Scenario]:
-    if path:
-        return read_scenarios(path)
-    return enumerate_matrix()
-
-
-def _select(scenarios: list[Scenario], ids: list[str], campaign: Optional[str]) -> list[Scenario]:
-    out = scenarios
-    if campaign:
-        out = [s for s in out if s.campaign == campaign]
-    if ids:
-        out = [find_scenario(scenarios, sid) for sid in ids]
+def _select(args) -> list[Scenario]:
+    """The scenarios that ``--scenarios``, ``--select`` and ``--campaign`` name."""
+    scenarios = read_scenarios(args.scenarios) if args.scenarios else enumerate_matrix()
+    out = [s for s in scenarios if s.campaign == args.campaign] if args.campaign else scenarios
+    if args.select:
+        out = [find_scenario(scenarios, sid) for sid in args.select]
     if not out:
+        print(f"error: no scenario selected ({len(scenarios)} scenarios, --campaign {args.campaign})",
+              file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return out
 
@@ -144,7 +144,7 @@ def cmd_provision(args) -> int:
     if issuance["name"] == "python":
         from .crypto import mldsa  # noqa: F401
 
-    scenarios = _select(_load_matrix(args.scenarios), args.select, args.campaign)
+    scenarios = _select(args)
     seed = _parse_seed(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,49 +174,32 @@ def cmd_provision(args) -> int:
     return EXIT_OK
 
 
-def _pki_manifest(pki_dir: Path) -> dict:
-    """``<pki_dir>/manifest.json``; empty if there is no manifest."""
-    try:
-        return json.loads((pki_dir / "manifest.json").read_text())
+def _measure(scenarios: list[Scenario], pki_dir, cfg: bench.BenchConfig, out_dir: Path) -> list:
+    """Measure ``scenarios`` into ``out_dir``: samples, summary, manifest; return the aggregates."""
+    def progress(agg: bench.RunAggregate, seconds: float) -> None:
+        print(f"{agg.scenario_id}: {agg.n_runs} runs, mean {agg.mean_ms:.3f} ms, "
+              f"srv/cli {agg.srv_cli_ratio:.3f} ({seconds:.1f}s)")
+
+    aggregates, _, steal = bench.run_campaign(scenarios, pki_dir, cfg, out_dir, progress)
+    try:  # the PKI's manifest names the seed and the issuance backend
+        provisioned = json.loads((Path(pki_dir) / "manifest.json").read_text())
     except FileNotFoundError:
-        return {}
+        provisioned = {}
+    counts = [(s.placement_class.leaf_slh, *bench._runs_for(s, cfg)) for s in scenarios]
+    write_manifest(
+        out_dir / "manifest.json", provisioned.get("seed_hex"), scenarios, cfg.policy.value,
+        cfg.now, provisioned.get("issuance_backend"), host_steal_share=steal,
+        thread_clock_tick_ms=bench.thread_clock_tick_ms(),
+        runs=sorted({runs for heavy, runs, _ in counts if not heavy}),
+        runs_heavy=sorted({runs for heavy, runs, _ in counts if heavy}),
+        warmup=sorted({warmup for _, _, warmup in counts}),
+    )
+    return list(aggregates.values())
 
 
 def cmd_bench(args) -> int:
-    scenarios = _select(_load_matrix(args.scenarios), args.select, args.campaign)
-    policy = pki.ServedChainPolicy(args.policy)
-    runs = runs_heavy = None
-    if args.runs:
-        runs, runs_heavy = _parse_runs(args.runs)
-    cfg = bench.BenchConfig(
-        runs=runs, runs_heavy=runs_heavy, warmup=args.warmup, policy=policy, now=args.now
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    aggregates = []
-    ticks = bench.host_cpu_ticks()
-    for scenario in scenarios:
-        t0 = time.perf_counter()
-        samples = bench.run_scenario(scenario, args.pki, cfg)
-        agg = bench.aggregate(scenario, samples)
-        aggregates.append(agg)
-        bench.write_samples(samples, out_dir / f"{scenario.display_id}.jsonl")
-        print(
-            f"{scenario.display_id}: {agg.n_runs} runs, mean {agg.mean_ms:.3f} ms, "
-            f"srv/cli {agg.srv_cli_ratio:.3f} ({time.perf_counter() - t0:.1f}s)"
-        )
-    bench.write_rows(aggregates, out_dir / "master_summary.csv")
-    pki_manifest = _pki_manifest(Path(args.pki))
-    write_manifest(
-        out_dir / "manifest.json",
-        pki_manifest.get("seed_hex"),
-        scenarios,
-        args.policy,
-        args.now,
-        pki_manifest.get("issuance_backend"),
-        host_steal_share=bench.steal_share(ticks, bench.host_cpu_ticks()),
-    )
-    print(f"wrote {out_dir / 'master_summary.csv'}")
+    _measure(_select(args), args.pki, _bench_config(args), Path(args.out))
+    print(f"wrote {Path(args.out) / 'master_summary.csv'}")
     return EXIT_OK
 
 
@@ -355,18 +338,7 @@ def cmd_reproduce(args) -> int:
     if code != EXIT_OK:
         return code
 
-    runs, runs_heavy = _parse_runs(args.runs)
-    bench_cfg = bench.BenchConfig(
-        runs=runs, runs_heavy=runs_heavy if runs_heavy is not None else 3, warmup=args.warmup
-    )
-    aggregates = []
-    for scenario in scenarios:
-        samples = bench.run_scenario(scenario, pki_dir, bench_cfg)
-        aggregates.append(bench.aggregate(scenario, samples))
-        print(f"  measured {scenario.display_id}: {aggregates[-1].mean_ms:.3f} ms mean")
-    results_dir = out_dir / "results"
-    results_dir.mkdir(exist_ok=True)
-    bench.write_rows(aggregates, results_dir / "master_summary.csv")
+    aggregates = _measure(scenarios, pki_dir, _bench_config(args), out_dir / "results")
 
     print("== property gates over live data ==")
     ok &= all([_check(*check) for check in claims.evaluate(claims.LIVE, aggregates)])
@@ -381,9 +353,8 @@ def cmd_reproduce(args) -> int:
         "certificate bytes identical for identical seed",
     )
 
-    analytics.run_all(
-        analytics.load_summary(results_dir / "master_summary.csv"), out_dir / "analysis", cfg
-    )
+    summary = analytics.load_summary(out_dir / "results" / "master_summary.csv")
+    analytics.run_all(summary, out_dir / "analysis", cfg)
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_TRANSPORT
 
@@ -414,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--campaign", choices=["A", "B", "C", "D"])
     p.add_argument("--pki", default="pki")
     p.add_argument("--out", default="results")
-    p.add_argument("--runs", help="override run counts: N or FAST/HEAVY (e.g. 50/20)")
+    p.add_argument("--runs", type=_parse_runs, help="N for every scenario, or FAST/HEAVY: HEAVY for SLH-leaf ones")
     p.add_argument("--warmup", type=int, help="warmup connections to discard")
     p.add_argument("--policy", choices=["mirror", "full", "leaf"], default="mirror")
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW)
@@ -432,11 +403,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="end-to-end desk-scale pipeline with PASS/FAIL gates")
     p.add_argument("--out", default="reproduce")
     p.add_argument("--fixture-only", action="store_true", help="skip the live bench stage")
-    p.add_argument("--runs", default="40/3", help="desk-scale run counts FAST/HEAVY")
+    p.add_argument("--runs", type=_parse_runs, default="40/3", help="as bench's --runs (default 40/3)")
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--seed", default="706b692d6c6162")
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW)
-    p.set_defaults(func=cmd_reproduce)
+    p.set_defaults(func=cmd_reproduce, policy="mirror")
     return parser
 
 

@@ -150,16 +150,10 @@ def pki_all(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def live_sweep(pki_all, matrix):
-    """One reduced campaign over the whole matrix under MIRROR serving, and its host steal share."""
+    """One reduced campaign over the whole matrix under MIRROR serving: aggregates and
+    samples by scenario id, and the host steal share over the sweep."""
     cfg = bench.BenchConfig(runs=FAST_RUNS, runs_heavy=HEAVY_RUNS, warmup=WARMUP)
-    aggregates = {}
-    samples = {}
-    ticks = bench.host_cpu_ticks()
-    for scenario in matrix:
-        runs = bench.run_scenario(scenario, pki_all, cfg)
-        samples[scenario.display_id] = runs
-        aggregates[scenario.display_id] = bench.aggregate(scenario, runs)
-    return aggregates, samples, bench.steal_share(ticks, bench.host_cpu_ticks())
+    return bench.run_campaign(matrix, pki_all, cfg)
 
 
 def _assert_claim(criterion: str, claim, live_sweep) -> None:

@@ -1,19 +1,23 @@
+import csv
 import json
 import os
 
 import pytest
 
-from pqchainlab import pki
+from pqchainlab import bench, claims, cli, pki
 from pqchainlab.bench import write_rows
 from pqchainlab.cli import (
     EXIT_CRYPTO,
     EXIT_OK,
     EXIT_SCHEMA,
+    EXIT_TRANSPORT,
     EXIT_USAGE,
+    build_parser,
     fixture_path,
     main,
 )
 from pqchainlab.crypto.backend import CryptoError, issuance_backend
+from pqchainlab.scenario import find_scenario
 
 
 def test_gen_scenarios_default(tmp_path):
@@ -32,10 +36,17 @@ def test_gen_scenarios_campaign_filter(tmp_path):
     assert len(json.loads(out.read_text())) == 6
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen-scenarios", "--campaign", "Z"])
     assert err.value.code == EXIT_USAGE
+    # a campaign that selects nothing from a scenarios file is reported
+    only_b = tmp_path / "b.json"
+    assert main(["gen-scenarios", "--out", str(only_b), "--campaign", "B"]) == EXIT_OK
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--scenarios", str(only_b), "--campaign", "A", "--out", str(tmp_path / "r")])
+    assert err.value.code == EXIT_USAGE
+    assert "error: no scenario selected" in capsys.readouterr().err
 
 
 def test_provision_and_bench_small(tmp_path):
@@ -59,34 +70,43 @@ def test_provision_and_bench_small(tmp_path):
         assert (pki_dir / ids[0] / name).read_bytes() == (pki_dir2 / ids[0] / name).read_bytes()
 
     results = tmp_path / "results"
-    assert (
-        main(
-            [
-                "bench",
-                "--select",
-                ids[0],
-                "--pki",
-                str(pki_dir),
-                "--out",
-                str(results),
-                "--runs",
-                "5",
-                "--warmup",
-                "1",
-            ]
-        )
-        == EXIT_OK
-    )
+    argv = ["bench", "--select", ids[0], "--pki", str(pki_dir), "--out", str(results)]
+    assert main([*argv, "--runs", "5", "--warmup", "1"]) == EXIT_OK
     samples = (results / f"{ids[0]}.jsonl").read_text().splitlines()
     assert len(samples) == 5
     assert (results / "master_summary.csv").exists()
     # the results manifest records the seed and the issuance backend that
-    # provisioned the PKI, and the host's steal time over the run
+    # provisioned the PKI, the host's steal time over the run and the
+    # conditions of the measurement
     manifest = json.loads((results / "manifest.json").read_text())
     assert manifest["seed_hex"] == "0abc"
     provisioned = json.loads((pki_dir / "manifest.json").read_text())
     assert manifest["issuance_backend"] == provisioned["issuance_backend"] == issuance_backend()
     assert 0.0 <= manifest["host_steal_share"] < 1.0
+    assert manifest["thread_clock_tick_ms"] == bench.thread_clock_tick_ms()
+    assert (manifest["runs"], manifest["runs_heavy"], manifest["warmup"]) == ([5], [], [1])
+    assert manifest["policy"] == "mirror"
+
+
+def test_bench_full_policy_depth3_serves_three(tmp_path):
+    sid = "x25519mlkem768__ml_root__ml_int__ml_leaf"
+    pki_dir, results = tmp_path / "pki", tmp_path / "results"
+    assert main(["provision", "--select", sid, "--out", str(pki_dir)]) == EXIT_OK
+    argv = ["bench", "--select", sid, "--pki", str(pki_dir), "--out", str(results)]
+    assert main([*argv, "--runs", "3", "--warmup", "0", "--policy", "full"]) == EXIT_OK
+    sample = json.loads((results / f"{sid}.jsonl").read_text().splitlines()[0])
+    assert sample["chain_len_unique"] == 3
+    assert json.loads((results / "manifest.json").read_text())["policy"] == "full"
+
+
+@pytest.mark.parametrize("runs, counts", [("7", (7, None)), ("7/2", (7, 2))])
+def test_runs_means_the_same_to_bench_and_reproduce(runs, counts):
+    argv = ["--runs", runs, "--warmup", "1", "--now", "1800000000"]
+    bench_cfg, reproduce_cfg = [
+        cli._bench_config(build_parser().parse_args([command, *argv])) for command in ("bench", "reproduce")
+    ]
+    assert bench_cfg == reproduce_cfg
+    assert (bench_cfg.runs, bench_cfg.runs_heavy, bench_cfg.now) == (*counts, 1800000000)
 
 
 MIXED = [
@@ -156,35 +176,6 @@ def test_provision_worker_failure(tmp_path, monkeypatch, capfd, forked):
         assert ran_here is (jobs == "1" or not forked)
 
 
-def test_bench_full_policy_depth3_serves_three(tmp_path):
-    sid = "x25519mlkem768__ml_root__ml_int__ml_leaf"
-    pki_dir = tmp_path / "pki"
-    main(["provision", "--select", sid, "--out", str(pki_dir)])
-    results = tmp_path / "results"
-    assert (
-        main(
-            [
-                "bench",
-                "--select",
-                sid,
-                "--pki",
-                str(pki_dir),
-                "--out",
-                str(results),
-                "--runs",
-                "3",
-                "--warmup",
-                "0",
-                "--policy",
-                "full",
-            ]
-        )
-        == EXIT_OK
-    )
-    sample = json.loads((results / f"{sid}.jsonl").read_text().splitlines()[0])
-    assert sample["chain_len_unique"] == 3
-
-
 def test_analyze_fixture(tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--fixture", "paper", "--out", str(out)]) == EXIT_OK
@@ -207,19 +198,13 @@ def test_analyze_partial_input_with_explicit_baseline(tmp_path, fixture_rows):
     write_rows([r for r in fixture_rows if r.scenario_id in keep], partial)
 
     out = tmp_path / "analysis"
-    code = main(
-        [
-            "analyze",
-            "--input",
-            str(partial),
-            "--out",
-            str(out),
-            "--baseline",
-            "x25519__leaf_mldsa65",
-        ]
-    )
-    assert code == EXIT_OK
-    assert "1205" in (out / "campaignA_pairs.csv").read_text() or True
+    argv = ["analyze", "--input", str(partial), "--out", str(out), "--baseline", "x25519__leaf_mldsa65"]
+    assert main(argv) == EXIT_OK
+    with open(out / "campaignA_pairs.csv", newline="") as f:
+        (pair,) = csv.DictReader(f)
+    assert pair["tls_group"] == "x25519"
+    published = claims.PUBLISHED_CAMPAIGN_A["x25519"]
+    assert abs(float(pair["latency_ratio"]) - published) / published <= claims.PUBLISHED_TOLERANCE
     assert (out / "capacity.csv").read_text().count("\n") == 3  # header + 2 rows
 
     # without a usable baseline the command refuses clearly
@@ -243,18 +228,8 @@ def test_report_honours_baseline(tmp_path):
 
 
 def test_analyze_missing_baseline(tmp_path):
-    code = main(
-        [
-            "analyze",
-            "--fixture",
-            "paper",
-            "--out",
-            str(tmp_path / "x"),
-            "--baseline",
-            "x25519__slh_root__slh_int__slh_leaf",
-        ]
-    )
-    assert code == EXIT_USAGE
+    argv = ["analyze", "--fixture", "paper", "--out", str(tmp_path / "x")]
+    assert main([*argv, "--baseline", "x25519__slh_root__slh_int__slh_leaf"]) == EXIT_USAGE
 
 
 def test_analyze_schema_mismatch(tmp_path):
@@ -284,6 +259,27 @@ def test_reproduce_fixture_only(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_reproduce_live_stage_on_two_scenarios(tmp_path, monkeypatch, capfd, matrix):
+    """The live stage over a matrix cut to two all-ML scenarios: both are measured into
+    a results tree like bench's, claims that need other rows fail without a traceback."""
+    ids = ["x25519mlkem768__ml_root__ml_int__ml_leaf", "x25519mlkem768__ml_root__ml_leaf"]
+    monkeypatch.setattr(cli, "enumerate_matrix", lambda: [find_scenario(matrix, i) for i in ids])
+    out = tmp_path / "r"
+    argv = ["reproduce", "--out", str(out), "--runs", "5", "--warmup", "1", "--seed", "0abc"]
+    assert main(argv) == EXIT_TRANSPORT
+    captured = capfd.readouterr()
+    results = out / "results"
+    assert sorted(p.name for p in results.glob("*.jsonl")) == sorted(f"{i}.jsonl" for i in ids)
+    manifest = json.loads((results / "manifest.json").read_text())
+    assert manifest["seed_hex"] == "0abc"
+    assert {"issuance_backend", "host_steal_share"} <= manifest.keys()
+    for name in ("regime separation", "decomposition coverage", "upper layer bound", "effective exposure"):
+        assert f"FAIL  {name}: " in captured.out, name
+    assert "PASS  re-provision byte identity" in captured.out
+    assert captured.out.splitlines()[-1] == "FAIL"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_fixture_ships_with_package():
     assert fixture_path().exists()
 
@@ -306,6 +302,4 @@ def test_crypto_error_exit_code(tmp_path):
     code = main(
         ["bench", "--select", sid, "--pki", str(pki_dir), "--out", str(tmp_path / "r"), "--runs", "1", "--warmup", "0"]
     )
-    from pqchainlab.cli import EXIT_CRYPTO
-
     assert code == EXIT_CRYPTO
