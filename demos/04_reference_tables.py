@@ -8,11 +8,12 @@ Run:  python demos/04_reference_tables.py
 """
 
 from pqchainlab import analytics as an
+from pqchainlab.bench import read_master_summary
 from pqchainlab.cli import fixture_path
 from pqchainlab.config import AnalysisConfig
 
 cfg = AnalysisConfig()
-rows = an.load_summary(fixture_path())
+rows = read_master_summary(fixture_path())
 
 print("leaf-only contrast (campaign A)")
 for pair in an.campaign_a_pairs(rows):

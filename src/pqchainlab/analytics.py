@@ -11,71 +11,23 @@ table-exact regression tests possible on fixture data.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .bench import CSV_COLUMNS, RunAggregate, SchemaError, read_master_summary, write_rows
+from .bench import RunAggregate, write_rows
 from .config import AnalysisConfig
 from .scenario import (
     Placement,
     PlacementClass,
     SigFamily,
-    classify_placement,
-    compose_scenario_id,
     conceptual_perf_group,
     parse_scenario_id,
+    resolve_id,
 )
-
-
-def load_summary(path: Path | str) -> list[RunAggregate]:
-    with open(path, newline="") as f:
-        header = next(csv.reader(f), None)
-    if header is None:
-        raise SchemaError(f"{path}: empty input")
-    missing = sorted(set(CSV_COLUMNS) - set(header))
-    if missing:
-        raise SchemaError(f"{path}: missing columns {', '.join(missing)}")
-    try:
-        return read_master_summary(path)
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-
-
-def _placement(row: RunAggregate) -> Placement:
-    return parse_scenario_id(row.scenario_id)[1]
-
-
-class _Rows:
-    """Index rows by canonical id so legacy aliases resolve too."""
-
-    def __init__(self, rows: Sequence[RunAggregate]):
-        self.rows = list(rows)
-        self.by_id: dict[str, RunAggregate] = {}
-        for row in rows:
-            kex, placement = parse_scenario_id(row.scenario_id)
-            self.by_id[row.scenario_id] = row
-            self.by_id[compose_scenario_id(kex, placement)] = row
-
-    def get(self, scenario_id: str) -> Optional[RunAggregate]:
-        row = self.by_id.get(scenario_id)
-        if row is None:
-            try:
-                kex, placement = parse_scenario_id(scenario_id)
-            except ValueError:
-                return None
-            row = self.by_id.get(compose_scenario_id(kex, placement))
-        return row
-
-    def require(self, scenario_id: str) -> RunAggregate:
-        row = self.get(scenario_id)
-        if row is None:
-            raise KeyError(f"scenario {scenario_id!r} not present in input")
-        return row
 
 
 # --- normalization -------------------------------------------------------
@@ -112,20 +64,21 @@ def hierarchy_label(placement: Placement) -> str:
 def normalize_to_baseline(
     rows: Sequence[RunAggregate], baseline_id: str
 ) -> list[NormalizedRow]:
-    index = _Rows(rows)
-    base = index.require(baseline_id)
-    out = []
-    for row in rows:
-        out.append(
-            NormalizedRow(
-                scenario_id=row.scenario_id,
-                slh_position_class=slh_position_class(_placement(row)),
-                latency_relative_to_baseline=row.mean_ms / base.mean_ms,
-                bytes_read_relative_to_baseline=row.bytes_read / base.bytes_read,
-                server_cpu_relative_to_baseline=row.server_task_ms / base.server_task_ms,
-            )
+    """Each row's latency, bytes read and server CPU over the baseline row's, in input
+    order: the one place that resolves the baseline and divides by it."""
+    base = resolve_id(rows, baseline_id)
+    if base.server_task_ms <= 0:
+        raise ValueError("baseline server task clock must be positive")
+    return [
+        NormalizedRow(
+            scenario_id=row.scenario_id,
+            slh_position_class=slh_position_class(row.placement),
+            latency_relative_to_baseline=row.mean_ms / base.mean_ms,
+            bytes_read_relative_to_baseline=row.bytes_read / base.bytes_read,
+            server_cpu_relative_to_baseline=row.server_task_ms / base.server_task_ms,
         )
-    return out
+        for row in rows
+    ]
 
 
 # --- campaign A pairing ----------------------------------------------------
@@ -210,14 +163,13 @@ def placement_summary(
     rows: Sequence[RunAggregate], baseline_id: str
 ) -> list[PlacementSummaryRow]:
     """Per-class statistics; a scenario contributes to every class it flags."""
-    base = _Rows(rows).require(baseline_id)
+    normalized = list(zip(rows, normalize_to_baseline(rows, baseline_id)))
     out = []
     for class_name in PLACEMENT_CLASSES:
-        members = [
-            row for row in rows if getattr(classify_placement(_placement(row)), class_name)
-        ]
-        if not members:
+        pairs = [(m, n) for m, n in normalized if getattr(m.placement_class, class_name)]
+        if not pairs:
             continue
+        members, ratios = zip(*pairs)
         elapsed = [m.mean_ms for m in members]
         out.append(
             PlacementSummaryRow(
@@ -228,16 +180,16 @@ def placement_summary(
                 min_elapsed_ms=min(elapsed),
                 max_elapsed_ms=max(elapsed),
                 mean_latency_vs_baseline=statistics.fmean(
-                    m.mean_ms / base.mean_ms for m in members
+                    n.latency_relative_to_baseline for n in ratios
                 ),
                 median_latency_vs_baseline=statistics.median(
-                    m.mean_ms / base.mean_ms for m in members
+                    n.latency_relative_to_baseline for n in ratios
                 ),
                 mean_bytes_vs_baseline=statistics.fmean(
-                    m.bytes_read / base.bytes_read for m in members
+                    n.bytes_read_relative_to_baseline for n in ratios
                 ),
                 mean_server_cpu_vs_baseline=statistics.fmean(
-                    m.server_task_ms / base.server_task_ms for m in members
+                    n.server_cpu_relative_to_baseline for n in ratios
                 ),
                 mean_server_over_elapsed=statistics.fmean(
                     m.server_over_elapsed for m in members
@@ -250,7 +202,19 @@ def placement_summary(
     return out
 
 
-# --- depth pairs -------------------------------------------------------------
+# --- depth and KEX pairs -------------------------------------------------------
+
+
+def _resolved_pairs(
+    rows: Sequence[RunAggregate], pair_map, warn: Callable[[str], None], describe
+) -> Iterator[tuple]:
+    """``(labels, first, second)`` per map entry ``(*labels, first_id, second_id)``
+    whose members both resolve; a pair with a missing member is warned about and skipped."""
+    for *labels, first_id, second_id in pair_map:
+        try:
+            yield labels, resolve_id(rows, first_id), resolve_id(rows, second_id)
+        except KeyError:
+            warn(f"{describe(*labels)} skipped: missing member")
 
 
 DEPTH_PAIR_MAP = [
@@ -302,14 +266,9 @@ def depth_pairs(
     rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
 ) -> list[DepthPairRow]:
     """Depth-2 vs depth-3 contrasts over the fixed comparable-family map."""
-    index = _Rows(rows)
     out = []
-    for label, d2_id, d3_id in DEPTH_PAIR_MAP:
-        d2 = index.get(d2_id)
-        d3 = index.get(d3_id)
-        if d2 is None or d3 is None:
-            warn(f"depth pair {label!r} skipped: missing member")
-            continue
+    pairs = _resolved_pairs(rows, DEPTH_PAIR_MAP, warn, lambda label: f"depth pair {label!r}")
+    for (label,), d2, d3 in pairs:
         out.append(
             DepthPairRow(
                 pair_label=label,
@@ -326,9 +285,6 @@ def depth_pairs(
             )
         )
     return out
-
-
-# --- KEX pairs ---------------------------------------------------------------
 
 
 KEX_PAIR_MAP = [
@@ -388,22 +344,18 @@ def kex_pairs(
     rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
 ) -> list[KexPairRow]:
     """Classical->hybrid and hybrid->pure contrasts on comparable chains."""
-    index = _Rows(rows)
     out = []
-    for comparison, label, from_id, to_id in KEX_PAIR_MAP:
-        src = index.get(from_id)
-        dst = index.get(to_id)
-        if src is None or dst is None:
-            warn(f"kex pair {label!r} ({comparison}) skipped: missing member")
-            continue
-        placement = _placement(src)
+    pairs = _resolved_pairs(
+        rows, KEX_PAIR_MAP, warn, lambda comparison, label: f"kex pair {label!r} ({comparison})"
+    )
+    for (comparison, label), src, dst in pairs:
         out.append(
             KexPairRow(
                 comparison_type=comparison,
                 family_label=label,
                 from_kex_mode=src.kex_mode,
                 to_kex_mode=dst.kex_mode,
-                leaf_family=placement.leaf.value,
+                leaf_family=src.placement.leaf.value,
                 depth=src.depth,
                 elapsed_mean_from_ms=src.mean_ms,
                 elapsed_mean_to_ms=dst.mean_ms,
@@ -432,7 +384,7 @@ def _subset(rows: Sequence[RunAggregate], name: str) -> list[RunAggregate]:
     if name not in ("leaf_slh_only", "non_leaf_slh"):
         raise ValueError(f"unknown subset {name!r}")
     leaf_slh = name == "leaf_slh_only"
-    return [r for r in rows if classify_placement(_placement(r)).leaf_slh == leaf_slh]
+    return [r for r in rows if r.placement_class.leaf_slh == leaf_slh]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -636,17 +588,16 @@ class CapacityRow:
 
 
 def _capacity_rows(rows: Sequence[RunAggregate], baseline_id: str) -> list[CapacityRow]:
-    """Server capacity per row, in input order; the capacity and economic tables share it."""
-    base = _Rows(rows).require(baseline_id)
-    if base.server_task_ms <= 0:
-        raise ValueError("baseline server task clock must be positive")
-    base_hps = 1000.0 / base.server_task_ms
+    """Server capacity per row, in input order; the capacity and economic tables share it.
+
+    Serving the baseline's load takes ``server CPU / baseline server CPU`` times the cores.
+    """
     out = []
-    for row in rows:
+    for row, norm in zip(rows, normalize_to_baseline(rows, baseline_id)):
         if row.server_task_ms <= 0:
             raise ValueError(f"{row.scenario_id}: server task clock must be positive")
         hps = 1000.0 / row.server_task_ms
-        retained = hps / base_hps
+        multiplier = norm.server_cpu_relative_to_baseline
         out.append(
             CapacityRow(
                 scenario_id=row.scenario_id,
@@ -654,9 +605,9 @@ def _capacity_rows(rows: Sequence[RunAggregate], baseline_id: str) -> list[Capac
                 depth=row.depth,
                 handshakes_per_core_second=hps,
                 handshakes_per_vcpu_hour=hps * 3600.0,
-                capacity_retained_vs_baseline=retained,
-                infrastructure_multiplier_needed=1.0 / retained,
-                conceptual_perf_group=conceptual_perf_group(_placement(row)),
+                capacity_retained_vs_baseline=1.0 / multiplier,
+                infrastructure_multiplier_needed=multiplier,
+                conceptual_perf_group=conceptual_perf_group(row.placement),
             )
         )
     return out
@@ -690,14 +641,13 @@ def economic_model(
 ) -> list[EconomicRow]:
     if cfg.price_per_cpu_hour <= 0:
         raise ValueError("price per CPU hour must be positive")
-    base = _Rows(rows).require(cfg.baseline_id)
-    base_cost = (base.server_task_ms * 1000.0 / 3600.0) * cfg.price_per_cpu_hour
     out = []
     for row, capacity in zip(rows, _capacity_rows(rows, cfg.baseline_id)):
         cpu_seconds = row.server_task_ms / 1000.0
         cpu_hours_per_million = cpu_seconds * 1e6 / 3600.0
         cost = cpu_hours_per_million * cfg.price_per_cpu_hour
         retained = capacity.capacity_retained_vs_baseline
+        multiplier = capacity.infrastructure_multiplier_needed  # = cost / baseline's cost
         out.append(
             EconomicRow(
                 scenario_id=row.scenario_id,
@@ -707,11 +657,11 @@ def economic_model(
                 handshakes_per_cpu_hour=capacity.handshakes_per_vcpu_hour,
                 capacity_retained_vs_baseline=retained,
                 capacity_loss_pct=(1.0 - retained) * 100.0,
-                infrastructure_multiplier_needed=capacity.infrastructure_multiplier_needed,
+                infrastructure_multiplier_needed=multiplier,
                 cpu_hours_per_million=cpu_hours_per_million,
                 cost_per_million=cost,
-                extra_cost_per_million=cost - base_cost,
-                cost_multiplier_vs_baseline=cost / base_cost,
+                extra_cost_per_million=cost - cost / multiplier,
+                cost_multiplier_vs_baseline=multiplier,
             )
         )
     out.sort(key=lambda r: r.cost_per_million)
@@ -820,13 +770,12 @@ def plausibility_rank(
 ) -> list[PlausibilityRow]:
     """Scenarios ordered by latency multiplier; the rank is the label's
     severity index (scenarios sharing a label share its rank)."""
-    index = _Rows(rows)
     ordered = sorted(normalized, key=lambda n: n.latency_relative_to_baseline)
     out = []
     for norm in ordered:
-        row = index.require(norm.scenario_id)
+        row = resolve_id(rows, norm.scenario_id)
         label = plausibility_label(norm.latency_relative_to_baseline, cfg)
-        placement = _placement(row)
+        placement = row.placement
         out.append(
             PlausibilityRow(
                 plausibility_rank=label.rank,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import handshake as hs
 from . import pki
-from .scenario import Scenario
+from .scenario import Placement, PlacementClass, Scenario, classify_placement, parse_scenario_id
 
 class ScenarioFailed(Exception):
     """A handshake failed mid-campaign; the scenario's data is discarded."""
@@ -118,6 +118,15 @@ class RunAggregate:
     server_over_elapsed: float
     srv_cli_ratio: float
 
+    # Read from the id, like Scenario's; properties, so not CSV columns.
+    @property
+    def placement(self) -> Placement:
+        return parse_scenario_id(self.scenario_id)[1]
+
+    @property
+    def placement_class(self) -> PlacementClass:
+        return classify_placement(self.placement)
+
 
 CSV_COLUMNS = [f.name for f in fields(RunAggregate)]
 
@@ -130,7 +139,6 @@ class BenchConfig:
     policy: pki.ServedChainPolicy = pki.ServedChainPolicy.MIRROR
     host: str = "127.0.0.1"
     now: int = pki.DEFAULT_NOW
-    connect_timeout: float = 30.0
 
 
 def _runs_for(scenario: Scenario, cfg: BenchConfig) -> tuple[int, int]:
@@ -247,14 +255,14 @@ def run_scenario(
 
     samples: list[HandshakeSample] = []
     try:
-        control = socket.create_connection((cfg.host, ctrl_port), timeout=cfg.connect_timeout)
+        control = socket.create_connection((cfg.host, ctrl_port), timeout=hs.CONNECTION_TIMEOUT_S)
         with control, control.makefile("r") as ctrl_file:
             for i in range(total):
                 t0 = time.perf_counter_ns()
                 cpu0 = time.thread_time_ns()
                 try:
                     sock = socket.create_connection(
-                        (cfg.host, data_port), timeout=cfg.connect_timeout
+                        (cfg.host, data_port), timeout=hs.CONNECTION_TIMEOUT_S
                     )
                     with sock:
                         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -367,17 +375,28 @@ class SchemaError(Exception):
 
 
 def read_master_summary(path: Path | str) -> list[RunAggregate]:
-    rows = []
+    """The rows of a master-summary CSV; an empty file, a missing column or an
+    unreadable cell is a :class:`SchemaError`."""
     with open(path, newline="") as f:
-        for record in csv.DictReader(f):
-            kwargs = {}
-            for field in fields(RunAggregate):
-                raw = record[field.name]
-                if field.type == "int":
-                    kwargs[field.name] = int(float(raw))
-                elif field.type == "float":
-                    kwargs[field.name] = float(raw)
-                else:
-                    kwargs[field.name] = raw
-            rows.append(RunAggregate(**kwargs))
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None:
+            raise SchemaError(f"{path}: empty input")
+        missing = sorted(set(CSV_COLUMNS) - set(reader.fieldnames))
+        if missing:
+            raise SchemaError(f"{path}: missing columns {', '.join(missing)}")
+        rows = []
+        try:
+            for record in reader:
+                kwargs = {}
+                for field in fields(RunAggregate):
+                    raw = record[field.name]
+                    if field.type == "int":
+                        kwargs[field.name] = int(float(raw))
+                    elif field.type == "float":
+                        kwargs[field.name] = float(raw)
+                    else:
+                        kwargs[field.name] = raw
+                rows.append(RunAggregate(**kwargs))
+        except (TypeError, ValueError) as exc:  # a short row's cells read None
+            raise SchemaError(f"{path}: {exc}") from exc
     return rows

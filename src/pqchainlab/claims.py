@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analytics import _Rows, campaign_a_pairs, counterexamples
-from .scenario import KexMode, classify_placement, parse_scenario_id
+from .analytics import campaign_a_pairs, counterexamples
+from .scenario import KexMode, resolve_id
 
 PUBLISHED_CAMPAIGN_A = {"x25519": 2127.865, "x25519mlkem768": 1682.137}  # SLH/ML latency
 PUBLISHED_TOLERANCE = 0.005
@@ -58,7 +58,7 @@ def server_bound_decomposition(rows) -> list[Check]:
     """An SLH-DSA leaf makes the handshake server-bound; all-ML ones stay balanced."""
     checks, n_slh, n_ml = [], 0, 0
     for r in rows:
-        flags = classify_placement(parse_scenario_id(r.scenario_id)[1])
+        flags = r.placement_class
         if flags.leaf_slh:
             n_slh += 1
             checks.append(Check(
@@ -76,8 +76,7 @@ def server_bound_decomposition(rows) -> list[Check]:
 
 def upper_layer_bound(rows) -> list[Check]:
     """An SLH-DSA root above ML-DSA layers costs at most 20x the all-ML latency."""
-    index = _Rows(rows)
-    ratio = index.require(SLH_ROOT_D3).mean_ms / index.require(ALL_ML_D3).mean_ms
+    ratio = resolve_id(rows, SLH_ROOT_D3).mean_ms / resolve_id(rows, ALL_ML_D3).mean_ms
     detail = f"{SLH_ROOT_D3} at {ratio:.2f}x the all-ML latency (gate <= 20)"
     return [Check("upper-layer bound", ratio <= 20, detail)]
 
@@ -85,8 +84,7 @@ def upper_layer_bound(rows) -> list[Check]:
 def effective_exposure(rows) -> list[Check]:
     """Mirrored serving sends two certificates: at depth 3 an ML-DSA intermediate takes the
     SLH-DSA root's place, so the handshake reads fewer bytes and runs faster."""
-    index = _Rows(rows)
-    d2, d3 = index.require(SLH_ROOT_D2), index.require(SLH_ROOT_D3)
+    d2, d3 = resolve_id(rows, SLH_ROOT_D2), resolve_id(rows, SLH_ROOT_D3)
     return [
         Check("effective exposure direction",
               d3.bytes_read < d2.bytes_read and d3.mean_ms < d2.mean_ms,

@@ -23,11 +23,10 @@ from .crypto.backend import CryptoError
 from .scenario import (
     Scenario,
     SigFamily,
-    classify_placement,
     enumerate_matrix,
     find_scenario,
-    parse_scenario_id,
     read_scenarios,
+    resolve_id,
     write_scenarios,
 )
 
@@ -69,7 +68,7 @@ def write_manifest(
     seed_hex: Optional[str],
     scenarios: list[Scenario],
     policy: str,
-    now: int,
+    issuance_epoch: Optional[int],
     issuance: Optional[dict],
     **extra,
 ) -> None:
@@ -77,7 +76,7 @@ def write_manifest(
         "tool": "pqchainlab",
         "version": __version__,
         "seed_hex": seed_hex,
-        "issuance_epoch": now,
+        "issuance_epoch": issuance_epoch,
         "issuance_backend": issuance,
         "policy": policy,
         "scenario_ids": [s.display_id for s in scenarios],
@@ -181,14 +180,15 @@ def _measure(scenarios: list[Scenario], pki_dir, cfg: bench.BenchConfig, out_dir
               f"srv/cli {agg.srv_cli_ratio:.3f} ({seconds:.1f}s)")
 
     aggregates, _, steal = bench.run_campaign(scenarios, pki_dir, cfg, out_dir, progress)
-    try:  # the PKI's manifest names the seed and the issuance backend
+    try:  # the PKI's manifest names the seed, the issuance epoch and the issuance backend
         provisioned = json.loads((Path(pki_dir) / "manifest.json").read_text())
     except FileNotFoundError:
         provisioned = {}
     counts = [(s.placement_class.leaf_slh, *bench._runs_for(s, cfg)) for s in scenarios]
     write_manifest(
         out_dir / "manifest.json", provisioned.get("seed_hex"), scenarios, cfg.policy.value,
-        cfg.now, provisioned.get("issuance_backend"), host_steal_share=steal,
+        provisioned.get("issuance_epoch"), provisioned.get("issuance_backend"),
+        validated_at=cfg.now, host_steal_share=steal,
         thread_clock_tick_ms=bench.thread_clock_tick_ms(),
         runs=sorted({runs for heavy, runs, _ in counts if not heavy}),
         runs_heavy=sorted({runs for heavy, runs, _ in counts if heavy}),
@@ -211,7 +211,7 @@ def _emit_plots(rows, results, out_dir: Path) -> None:
     from . import svgplot
 
     rows = sorted(rows, key=lambda r: r.scenario_id)
-    leaf_slh = [classify_placement(parse_scenario_id(r.scenario_id)[1]).leaf_slh for r in rows]
+    leaf_slh = [r.placement_class.leaf_slh for r in rows]
     svgplot.log_bar_chart(
         [r.scenario_id for r in rows],
         [r.mean_ms for r in rows],
@@ -258,11 +258,13 @@ def _analysis(args):
     from . import analytics
     from .config import AnalysisConfig, load_config
 
-    rows = analytics.load_summary(_analysis_input(args))
+    rows = bench.read_master_summary(_analysis_input(args))
     cfg = load_config(args.config)
     if args.baseline:
         cfg = AnalysisConfig(**{**cfg.__dict__, "baseline_id": args.baseline})
-    if analytics._Rows(rows).get(cfg.baseline_id) is None:
+    try:
+        resolve_id(rows, cfg.baseline_id)
+    except KeyError:
         print(
             f"error: baseline scenario {cfg.baseline_id!r} not in input; "
             "pass --baseline with a scenario present in the results",
@@ -320,7 +322,7 @@ def cmd_reproduce(args) -> int:
     cfg = load_config(None)
 
     print("== analytics against the shipped reference table ==")
-    fixture_rows = analytics.load_summary(fixture_path())
+    fixture_rows = bench.read_master_summary(fixture_path())
     analytics.run_all(fixture_rows, out_dir / "fixture_analysis", cfg)
     ok = all([_check(*check) for check in claims.evaluate(claims.FIXTURE, fixture_rows)])
     if args.fixture_only:
@@ -353,7 +355,7 @@ def cmd_reproduce(args) -> int:
         "certificate bytes identical for identical seed",
     )
 
-    summary = analytics.load_summary(out_dir / "results" / "master_summary.csv")
+    summary = bench.read_master_summary(out_dir / "results" / "master_summary.csv")
     analytics.run_all(summary, out_dir / "analysis", cfg)
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_TRANSPORT

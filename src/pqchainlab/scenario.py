@@ -13,8 +13,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 class SigFamily(enum.Enum):
@@ -249,28 +252,33 @@ def enumerate_matrix() -> list[Scenario]:
     return sorted(rows, key=lambda s: (s.campaign, s.display_id))
 
 
-def find_scenario(scenarios: list[Scenario], scenario_id: str) -> Scenario:
-    """Look up by display id first (unique), then canonical id or alias.
+def resolve_id(
+    entries: Iterable[T], scenario_id: str, key: Callable[[T], str] = attrgetter("scenario_id")
+) -> T:
+    """The entry that ``scenario_id`` names: an exact ``key`` wins, otherwise the first
+    entry whose canonical id matches.
 
-    Several inventory entries re-measure one hierarchy configuration under
-    different names (a deliberate reuse), so canonical ids may repeat; the
-    display id is the unique key.
+    A legacy alias and its positional spelling name one hierarchy, and the
+    inventory measures some hierarchies under both, so canonical ids repeat;
+    trying the exact id first keeps the answer independent of entry order.
     """
-    for s in scenarios:
-        if scenario_id == s.display_id:
-            return s
-    for s in scenarios:
-        if scenario_id == s.scenario_id:
-            return s
+    entries = list(entries)
+    for entry in entries:
+        if key(entry) == scenario_id:
+            return entry
     try:
-        kex, placement = parse_scenario_id(scenario_id)
+        canonical = compose_scenario_id(*parse_scenario_id(scenario_id))
     except ValueError:
-        raise KeyError(scenario_id) from None
-    canonical = compose_scenario_id(kex, placement)
-    for s in scenarios:
-        if s.scenario_id == canonical:
-            return s
-    raise KeyError(scenario_id)
+        canonical = None  # names no hierarchy, so only an exact id could match
+    for entry in entries:
+        if canonical and compose_scenario_id(*parse_scenario_id(key(entry))) == canonical:
+            return entry
+    raise KeyError(f"scenario {scenario_id!r} not present in input")
+
+
+def find_scenario(scenarios: list[Scenario], scenario_id: str) -> Scenario:
+    """Look up by display id, then by canonical id (:func:`resolve_id`)."""
+    return resolve_id(scenarios, scenario_id, key=lambda s: s.display_id)
 
 
 def write_scenarios(scenarios: list[Scenario], path: Path | str) -> None:

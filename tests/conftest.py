@@ -5,7 +5,7 @@ import pytest
 
 from pqchainlab import handshake as hs
 from pqchainlab import pki
-from pqchainlab.analytics import load_summary
+from pqchainlab.bench import read_master_summary
 from pqchainlab.cli import fixture_path
 from pqchainlab.crypto import backend
 from pqchainlab.scenario import enumerate_matrix, find_scenario
@@ -40,7 +40,7 @@ PUBLISHED_REGIMES = {
 @pytest.fixture(scope="session")
 def fixture_rows():
     """The shipped reference table's 17 rows."""
-    return load_summary(fixture_path())
+    return read_master_summary(fixture_path())
 
 
 def pump(client, server, tamper=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import PUBLISHED_REGIMES, rel
 
 from pqchainlab import analytics as an
 from pqchainlab import claims
-from pqchainlab.analytics import SchemaError
+from pqchainlab.bench import SchemaError, read_master_summary
 from pqchainlab.config import AnalysisConfig, load_config
 
 
@@ -28,7 +29,7 @@ class TestLoad:
         bad = tmp_path / "bad.csv"
         bad.write_text("scenario_id,mean_ms\nfoo,1.0\n")
         with pytest.raises(SchemaError):
-            an.load_summary(bad)
+            read_master_summary(bad)
 
 
 class TestNormalize:
@@ -94,7 +95,7 @@ class TestPlacementSummary:
         all_ml_rows = [
             r
             for r in fixture_rows
-            if an.classify_placement(an.parse_scenario_id(r.scenario_id)[1]).all_ml
+            if r.placement_class.all_ml
         ]
         base_id = "x25519mlkem768__ml_root__ml_int__ml_leaf"
         table = an.placement_summary(all_ml_rows, base_id)
@@ -432,3 +433,30 @@ def test_run_all_writes_every_table(tmp_path, fixture_rows, cfg):
     assert set(results) == expected
     for name in expected:
         assert (tmp_path / f"{name}.csv").exists()
+
+
+# SHA-256 over the 12 CSVs that run_all writes from the reference rows, under
+# the default baseline and then under the classical ML-DSA one.
+GOLDEN_TABLES_SHA256 = "7a0f1df68564e2549d0d5b49097d5f908644ac57f0fae5ad4a2b607ca2c2d8c1"
+
+
+def test_analysis_tables_match_golden_digest(tmp_path, fixture_rows, cfg):
+    digest = hashlib.sha256()
+    for baseline in (cfg.baseline_id, "x25519__leaf_mldsa65"):
+        out = tmp_path / baseline
+        an.run_all(fixture_rows, out, dataclasses.replace(cfg, baseline_id=baseline))
+        paths = sorted(out.glob("*.csv"))
+        assert len(paths) == 12
+        for path in paths:
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_TABLES_SHA256
+
+
+def test_pairings_and_claims_ignore_row_order(fixture_rows):
+    """An exact id wins over another row of the same hierarchy wherever the rows put it."""
+    backwards = fixture_rows[::-1]
+    assert an.depth_pairs(backwards) == an.depth_pairs(fixture_rows)
+    assert an.kex_pairs(backwards) == an.kex_pairs(fixture_rows)
+    assert an.campaign_a_pairs(backwards) == an.campaign_a_pairs(fixture_rows)
+    live = [sorted(claims.evaluate(claims.LIVE, rows)) for rows in (fixture_rows, backwards)]
+    assert live[0] == live[1]

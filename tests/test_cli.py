@@ -99,6 +99,17 @@ def test_bench_full_policy_depth3_serves_three(tmp_path):
     assert json.loads((results / "manifest.json").read_text())["policy"] == "full"
 
 
+def test_results_manifest_keeps_issuance_epoch_apart_from_validation_time(tmp_path):
+    sid = "x25519mlkem768__ml_root__ml_leaf"
+    pki_dir, results = tmp_path / "pki", tmp_path / "results"
+    assert main(["provision", "--select", sid, "--out", str(pki_dir)]) == EXIT_OK
+    argv = ["bench", "--select", sid, "--pki", str(pki_dir), "--out", str(results)]
+    assert main([*argv, "--runs", "1", "--warmup", "0", "--now", "1770000000"]) == EXIT_OK
+    manifest = json.loads((results / "manifest.json").read_text())
+    assert manifest["issuance_epoch"] == 1767225600
+    assert manifest["validated_at"] == 1770000000
+
+
 @pytest.mark.parametrize("runs, counts", [("7", (7, None)), ("7/2", (7, 2))])
 def test_runs_means_the_same_to_bench_and_reproduce(runs, counts):
     argv = ["--runs", runs, "--warmup", "1", "--now", "1800000000"]

@@ -18,6 +18,7 @@ from pqchainlab.scenario import (
     legacy_alias,
     parse_scenario_id,
     read_scenarios,
+    resolve_id,
     write_scenarios,
 )
 
@@ -92,7 +93,7 @@ def test_matrix_id_shapes(matrix):
             assert "_int__" in s.scenario_id
 
 
-def test_find_scenario_accepts_either_spelling(matrix):
+def test_find_scenario_accepts_either_spelling(matrix, fixture_rows):
     legacy = find_scenario(matrix, "x25519mlkem768__leaf_mldsa65")
     canonical = find_scenario(matrix, "x25519mlkem768__ml_root__ml_leaf")
     assert legacy.campaign == "A"
@@ -102,6 +103,14 @@ def test_find_scenario_accepts_either_spelling(matrix):
     assert find_scenario(matrix, "x25519__ml_root__ml_leaf").display_id == "x25519__leaf_mldsa65"
     with pytest.raises(KeyError):
         find_scenario(matrix, "x25519__slh_root__ml_int__ml_leaf")
+    # summary rows follow the same rule, in either order: an exact id wins
+    # over another row of the same hierarchy
+    for rows in (fixture_rows, fixture_rows[::-1]):
+        assert resolve_id(rows, "x25519mlkem768__ml_root__ml_leaf").campaign == "C"
+        assert resolve_id(rows, "x25519mlkem768__leaf_mldsa65").campaign == "A"
+        assert resolve_id(rows, "x25519__ml_root__ml_leaf").scenario_id == "x25519__leaf_mldsa65"
+    with pytest.raises(KeyError):
+        resolve_id(fixture_rows, "x25519__slh_root__ml_int__ml_leaf")
 
 
 def test_classification_flags():
