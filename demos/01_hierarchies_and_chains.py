@@ -24,7 +24,7 @@ d3 = pki.build_hierarchy(find_scenario(matrix, "x25519mlkem768__slh_root__ml_int
 
 for name, h in [("depth 2 (SLH root / ML leaf)", d2), ("depth 3 (SLH root / ML int / ML leaf)", d3)]:
     print(f"\n{name}")
-    for cert, _key in filter(None, (h.root, h.intermediate, h.leaf)):
+    for cert, _key in h.chain:
         position = cert.subject.rsplit(":", 1)[1]
         print(
             f"  {position:5s} key={cert.key_family.value:20s} "

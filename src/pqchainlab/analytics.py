@@ -43,22 +43,16 @@ class NormalizedRow:
 
 
 def slh_position_class(placement: Placement) -> str:
-    positions = []
-    if placement.root is SigFamily.SLH_DSA_SHAKE_192S:
-        positions.append("root")
-    if placement.intermediate is SigFamily.SLH_DSA_SHAKE_192S:
-        positions.append("intermediate")
-    if placement.leaf is SigFamily.SLH_DSA_SHAKE_192S:
-        positions.append("leaf")
+    positions = [
+        "intermediate" if name == "int" else name
+        for name, family in placement.positions()
+        if family is SigFamily.SLH_DSA_SHAKE_192S
+    ]
     return "_and_".join(positions) if positions else "no_slh"
 
 
 def hierarchy_label(placement: Placement) -> str:
-    parts = [f"{placement.root.token.upper()} root"]
-    if placement.intermediate is not None:
-        parts.append(f"{placement.intermediate.token.upper()} int")
-    parts.append(f"{placement.leaf.token.upper()} leaf")
-    return " / ".join(parts)
+    return " / ".join(f"{family.token.upper()} {name}" for name, family in placement.positions())
 
 
 def normalize_to_baseline(

@@ -1,11 +1,12 @@
 """Measurement campaigns: fresh-connection runs, CPU capture, aggregation.
 
 The runner forks one server process per scenario so that client and
-server CPU attribution never share an interpreter.  Each run opens a
-fresh TCP connection; the client clock starts before ``connect`` and
-stops after ClientFinished is written.  The server reports per-connection
-thread CPU time over a line-delimited JSON control channel.  Exactly one
-handshake is in flight at any moment.
+server CPU attribution never share an interpreter; the forked server is
+handed the material its parent has loaded.  Each run opens a fresh TCP
+connection; the client clock starts before ``connect`` and stops after
+ClientFinished is written.  The server reports per-connection thread CPU
+time as line-delimited JSON over a socket pair.  Exactly one handshake
+is in flight at any moment.
 """
 
 from __future__ import annotations
@@ -235,34 +236,25 @@ def run_scenario(
         raise ScenarioFailed(f"{scenario.display_id}: not provisioned under {pki_dir}")
     hierarchy = pki.load_hierarchy(scenario_dir)
     trust = pki.client_trust_store(hierarchy, cfg.policy)
+    material = hs.ServerMaterial.from_hierarchy(hierarchy, scenario.kex, cfg.policy)
 
     listener = socket.create_server((cfg.host, 0), backlog=8)
-    control_listener = socket.create_server((cfg.host, 0), backlog=8)
-    data_port = listener.getsockname()[1]
-    ctrl_port = control_listener.getsockname()[1]
-
-    server = fork_call(
-        hs.serve_scenario_process,
-        listener,
-        control_listener,
-        str(scenario_dir),
-        scenario.kex.tls_group_label,
-        cfg.policy.value,
-        total,
-    )
+    port = listener.getsockname()[1]
+    control, server_end = socket.socketpair()
+    server = fork_call(hs.run_server, listener, material, server_end, total)
     listener.close()
-    control_listener.close()
+    server_end.close()
 
     samples: list[HandshakeSample] = []
     try:
-        control = socket.create_connection((cfg.host, ctrl_port), timeout=hs.CONNECTION_TIMEOUT_S)
+        control.settimeout(hs.CONNECTION_TIMEOUT_S)
         with control, control.makefile("r") as ctrl_file:
             for i in range(total):
                 t0 = time.perf_counter_ns()
                 cpu0 = time.thread_time_ns()
                 try:
                     sock = socket.create_connection(
-                        (cfg.host, data_port), timeout=hs.CONNECTION_TIMEOUT_S
+                        (cfg.host, port), timeout=hs.CONNECTION_TIMEOUT_S
                     )
                     with sock:
                         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

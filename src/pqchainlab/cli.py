@@ -426,8 +426,8 @@ def _exit_code(func, *args) -> int:
     except (ScenarioFailed, ConnectionError, TimeoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -8,7 +8,7 @@ rather than measured quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 BASELINE_ID = "x25519mlkem768__ml_root__ml_int__ml_leaf"
@@ -39,10 +39,25 @@ class AnalysisConfig:
     counterexample_min_latency_ratio: float = 2.0
 
 
+# Field-name prefixes that config files spell with a dot: ``regime.server_bound_ratio``.
+_DOTTED_GROUPS = ("regime", "plausibility")
+
+
+def _file_key(name: str) -> str:
+    group, _, rest = name.partition("_")
+    return f"{group}.{rest}" if group in _DOTTED_GROUPS else name
+
+
 def load_config(path: Path | str | None) -> AnalysisConfig:
+    """Read ``key = value`` lines over the defaults; each value takes its default's type.
+
+    The keys are the scalar fields' names (dotted for the regime and
+    plausibility groups) and ``service_class.<name>``.
+    """
     cfg = AnalysisConfig()
     if path is None:
         return cfg
+    scalars = {_file_key(f.name): f.name for f in fields(cfg) if f.name != "service_classes"}
     classes = dict(cfg.service_classes)
     updates: dict = {}
     for raw_line in Path(path).read_text().splitlines():
@@ -54,26 +69,11 @@ def load_config(path: Path | str | None) -> AnalysisConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "baseline_id":
-            updates["baseline_id"] = value
-        elif key == "price_per_cpu_hour":
-            updates["price_per_cpu_hour"] = float(value)
-        elif key.startswith("service_class."):
+        if key.startswith("service_class."):
             classes[key.split(".", 1)[1]] = int(float(value))
-        elif key == "regime.server_bound_ratio":
-            updates["regime_server_bound_ratio"] = float(value)
-        elif key == "regime.client_skewed_ratio":
-            updates["regime_client_skewed_ratio"] = float(value)
-        elif key == "plausibility.reasonable_max":
-            updates["plausibility_reasonable_max"] = float(value)
-        elif key == "plausibility.penalized_max":
-            updates["plausibility_penalized_max"] = float(value)
-        elif key == "plausibility.problematic_max":
-            updates["plausibility_problematic_max"] = float(value)
-        elif key == "counterexample_top_k":
-            updates["counterexample_top_k"] = int(value)
-        elif key == "counterexample_min_latency_ratio":
-            updates["counterexample_min_latency_ratio"] = float(value)
+        elif key in scalars:
+            name = scalars[key]
+            updates[name] = type(getattr(cfg, name))(value)
         else:
             raise ValueError(f"unknown config key {key!r}")
     return replace(cfg, service_classes=classes, **updates)

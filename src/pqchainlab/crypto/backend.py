@@ -229,7 +229,6 @@ def verify(alg: SigFamily, public_key: bytes, message: bytes, signature: bytes) 
 X25519_PUBLIC_LEN = 32
 MLKEM_EK_LEN = 1184
 MLKEM_CT_LEN = 1088
-SHARED_SECRET_LEN = 32
 
 
 def client_share_len(mode: KexMode) -> int:

@@ -28,7 +28,6 @@ D = 7
 HP = 9  # subtree height, h/d
 A = 14
 K = 17
-LG_W = 4
 W = 16
 
 LEN1 = 48

@@ -417,19 +417,3 @@ def run_server(
                 break
     return completed
 
-
-def serve_scenario_process(
-    listener: socket.socket,
-    control_listener: socket.socket,
-    pki_dir: str,
-    kex_label: str,
-    policy_label: str,
-    max_connections: Optional[int] = None,
-) -> None:
-    """Entry point for a forked server process: load material, serve, report.
-
-    The sockets close when the process exits.
-    """
-    h = pki.load_hierarchy(pki_dir)
-    material = ServerMaterial.from_hierarchy(h, KexMode(kex_label), ServedChainPolicy(policy_label))
-    run_server(listener, material, control_listener.accept()[0], max_connections)

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .crypto import backend
 from .crypto.backend import CryptoError, KeyPair
-from .scenario import Scenario, SigFamily
+from .scenario import POSITION_SERIALS, Scenario, SigFamily, position_names
 
 # Frozen issuance clock: 2026-01-01T00:00:00Z.  Overridable everywhere.
 DEFAULT_NOW = 1767225600
@@ -206,10 +206,23 @@ def verify_certificate(cert: CertificateRecord, issuer_public_key: bytes) -> boo
 
 @dataclass(frozen=True)
 class HierarchyMaterial:
+    """A scenario's hierarchy as one chain of ``(certificate, keypair)``, root first."""
+
     scenario_id: str
-    root: tuple[CertificateRecord, KeyPair]
-    intermediate: Optional[tuple[CertificateRecord, KeyPair]]
-    leaf: tuple[CertificateRecord, KeyPair]
+    chain: tuple[tuple[CertificateRecord, KeyPair], ...]
+
+    @property
+    def root(self) -> tuple[CertificateRecord, KeyPair]:
+        return self.chain[0]
+
+    @property
+    def intermediate(self) -> Optional[tuple[CertificateRecord, KeyPair]]:
+        """The position between root and leaf; None at depth 2."""
+        return next(iter(self.chain[1:-1]), None)
+
+    @property
+    def leaf(self) -> tuple[CertificateRecord, KeyPair]:
+        return self.chain[-1]
 
     @property
     def trust_store(self) -> list[CertificateRecord]:
@@ -217,14 +230,10 @@ class HierarchyMaterial:
 
     @property
     def depth(self) -> int:
-        return 2 if self.intermediate is None else 3
+        return len(self.chain)
 
     def certificates(self) -> list[CertificateRecord]:
-        certs = [self.root[0]]
-        if self.intermediate is not None:
-            certs.append(self.intermediate[0])
-        certs.append(self.leaf[0])
-        return certs
+        return [cert for cert, _ in self.chain]
 
 
 def _position_seed(master_seed: bytes, scenario_id: str, position: str, n: int) -> bytes:
@@ -233,60 +242,31 @@ def _position_seed(master_seed: bytes, scenario_id: str, position: str, n: int) 
 
 
 def build_hierarchy(scenario: Scenario, seed: bytes, now: int = DEFAULT_NOW) -> HierarchyMaterial:
-    """Generate keys and issue the scenario's chain; pure in (scenario, seed, now)."""
+    """Generate keys and issue the scenario's chain; pure in (scenario, seed, now).
+
+    The root signs itself and every other position is signed by the one
+    above it; every position but the leaf is a CA.
+    """
     sid = scenario.display_id
-    placement = scenario.placement
-
-    def keypair(position: str, family: SigFamily) -> KeyPair:
+    positions = scenario.placement.positions()
+    chain: list[tuple[CertificateRecord, KeyPair]] = []
+    issuer_name, issuer_key = None, None  # the root is its own issuer
+    for i, (name, family) in enumerate(positions):
         seed_len = backend.SIG_PARAMS[family].seed_len
-        return backend.generate_keypair(family, _position_seed(seed, sid, position, seed_len))
-
-    root_key = keypair("root", placement.root)
-    root_cert = issue_certificate(
-        serial=1,
-        subject=f"{sid}:root",
-        subject_key=root_key,
-        issuer_name=f"{sid}:root",
-        issuer_key=root_key,
-        is_ca=True,
-        now=now,
-    )
-
-    intermediate = None
-    leaf_issuer_name = f"{sid}:root"
-    leaf_issuer_key = root_key
-    if placement.intermediate is not None:
-        int_key = keypair("int", placement.intermediate)
-        int_cert = issue_certificate(
-            serial=2,
-            subject=f"{sid}:int",
-            subject_key=int_key,
-            issuer_name=f"{sid}:root",
-            issuer_key=root_key,
-            is_ca=True,
+        key = backend.generate_keypair(family, _position_seed(seed, sid, name, seed_len))
+        subject = f"{sid}:{name}"
+        cert = issue_certificate(
+            serial=POSITION_SERIALS[name],
+            subject=subject,
+            subject_key=key,
+            issuer_name=issuer_name or subject,
+            issuer_key=issuer_key or key,
+            is_ca=i < len(positions) - 1,
             now=now,
         )
-        intermediate = (int_cert, int_key)
-        leaf_issuer_name = f"{sid}:int"
-        leaf_issuer_key = int_key
-
-    leaf_key = keypair("leaf", placement.leaf)
-    leaf_cert = issue_certificate(
-        serial=3,
-        subject=f"{sid}:leaf",
-        subject_key=leaf_key,
-        issuer_name=leaf_issuer_name,
-        issuer_key=leaf_issuer_key,
-        is_ca=False,
-        now=now,
-    )
-
-    return HierarchyMaterial(
-        scenario_id=sid,
-        root=(root_cert, root_key),
-        intermediate=intermediate,
-        leaf=(leaf_cert, leaf_key),
-    )
+        chain.append((cert, key))
+        issuer_name, issuer_key = subject, key
+    return HierarchyMaterial(scenario_id=sid, chain=tuple(chain))
 
 
 class ServedChainPolicy(enum.Enum):
@@ -302,18 +282,17 @@ class ServedChainPolicy(enum.Enum):
     LEAF_ONLY = "leaf"
 
 
+# Certificates each policy serves, counted from the leaf; None serves them all.
+_SERVED_COUNT = {
+    ServedChainPolicy.LEAF_ONLY: 1,
+    ServedChainPolicy.MIRROR: 2,
+    ServedChainPolicy.FULL_CHAIN: None,
+}
+
+
 def served_chain(h: HierarchyMaterial, policy: ServedChainPolicy) -> list[CertificateRecord]:
     """Ordered wire chain, leaf first."""
-    leaf = h.leaf[0]
-    if policy is ServedChainPolicy.LEAF_ONLY:
-        return [leaf]
-    if policy is ServedChainPolicy.FULL_CHAIN:
-        if h.intermediate is not None:
-            return [leaf, h.intermediate[0], h.root[0]]
-        return [leaf, h.root[0]]
-    if h.intermediate is not None:
-        return [leaf, h.intermediate[0]]
-    return [leaf, h.root[0]]
+    return h.certificates()[::-1][: _SERVED_COUNT[policy]]
 
 
 def client_trust_store(
@@ -322,13 +301,12 @@ def client_trust_store(
     """Trust material a client needs for the given serving policy.
 
     Serving only the leaf of a depth-3 hierarchy is deployable only when
-    clients already hold the intermediate, so LEAF_ONLY preloads it next
-    to the root anchor.  The other policies use the root alone.
+    clients already hold the intermediate, so LEAF_ONLY preloads every CA
+    certificate next to the root anchor.  The other policies use the root
+    alone.
     """
-    store = [h.root[0]]
-    if policy is ServedChainPolicy.LEAF_ONLY and h.intermediate is not None:
-        store.append(h.intermediate[0])
-    return store
+    certs = h.certificates()
+    return certs[:-1] if policy is ServedChainPolicy.LEAF_ONLY else certs[:1]
 
 
 def chain_bytes_unique(chain: list[CertificateRecord]) -> int:
@@ -426,10 +404,7 @@ def _read_key(path: Path) -> KeyPair:
 def write_hierarchy(h: HierarchyMaterial, directory: Path | str) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = {"root": h.root, "leaf": h.leaf}
-    if h.intermediate is not None:
-        names["int"] = h.intermediate
-    for name, (cert, keypair) in names.items():
+    for name, (cert, keypair) in zip(position_names(h.depth), h.chain):
         (directory / f"{name}.cert").write_bytes(cert.encoded)
         _write_key(directory / f"{name}.key", keypair)
 
@@ -444,8 +419,7 @@ def load_hierarchy(directory: Path | str) -> HierarchyMaterial:
             raise CryptoError(f"{name} key does not match certificate")
         return cert, key
 
-    intermediate = load("int") if (directory / "int.cert").exists() else None
-    root = load("root")
-    leaf = load("leaf")
-    sid = root[0].subject.rsplit(":", 1)[0]
-    return HierarchyMaterial(scenario_id=sid, root=root, intermediate=intermediate, leaf=leaf)
+    depth = 3 if (directory / "int.cert").exists() else 2
+    chain = tuple(load(name) for name in position_names(depth))
+    sid = chain[0][0].subject.rsplit(":", 1)[0]
+    return HierarchyMaterial(scenario_id=sid, chain=chain)

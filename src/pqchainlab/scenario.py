@@ -62,6 +62,17 @@ class KexMode(enum.Enum):
         return self.value
 
 
+# Hierarchy position names, root first, and the serial of each one's
+# certificate; a depth-2 hierarchy has no ``int``, and its leaf keeps serial 3.
+POSITION_SERIALS = {"root": 1, "int": 2, "leaf": 3}
+
+
+def position_names(depth: int) -> tuple[str, ...]:
+    """Position names of a depth-2 or depth-3 hierarchy, root first."""
+    names = tuple(POSITION_SERIALS)
+    return names[: depth - 1] + names[-1:]
+
+
 @dataclass(frozen=True)
 class Placement:
     """Signature family per hierarchy position; no intermediate means depth 2."""
@@ -70,14 +81,17 @@ class Placement:
     intermediate: Optional[SigFamily]
     leaf: SigFamily
 
+    def positions(self) -> tuple[tuple[str, SigFamily], ...]:
+        """``(name, family)`` per position present, root first."""
+        families = (self.root, self.intermediate, self.leaf)
+        return tuple((n, f) for n, f in zip(POSITION_SERIALS, families) if f is not None)
+
     @property
     def depth(self) -> int:
-        return 2 if self.intermediate is None else 3
+        return len(self.positions())
 
     def families(self) -> tuple[SigFamily, ...]:
-        if self.intermediate is None:
-            return (self.root, self.leaf)
-        return (self.root, self.intermediate, self.leaf)
+        return tuple(family for _, family in self.positions())
 
 
 @dataclass(frozen=True)
@@ -111,11 +125,8 @@ def conceptual_perf_group(p: Placement) -> str:
 
 def compose_scenario_id(kex: KexMode, placement: Placement) -> str:
     """Canonical positional id: ``<group>__<f>_root[__<f>_int]__<f>_leaf``."""
-    parts = [kex.tls_group_label, f"{placement.root.token}_root"]
-    if placement.intermediate is not None:
-        parts.append(f"{placement.intermediate.token}_int")
-    parts.append(f"{placement.leaf.token}_leaf")
-    return "__".join(parts)
+    parts = [f"{family.token}_{name}" for name, family in placement.positions()]
+    return "__".join([kex.tls_group_label, *parts])
 
 
 _LEGACY_LEAF_TOKENS = {
@@ -141,24 +152,20 @@ def parse_scenario_id(scenario_id: str) -> tuple[KexMode, Placement]:
         fam = _LEGACY_LEAF_TOKENS[tokens[0]]
         return kex, Placement(root=fam, intermediate=None, leaf=fam)
 
-    def _pos(token: str, suffix: str) -> SigFamily:
+    if len(tokens) not in (2, 3):
+        raise ValueError(f"malformed scenario id {scenario_id!r}")
+    families = {}
+    for token, name in zip(tokens, position_names(len(tokens))):
         fam_token, _, pos = token.partition("_")
-        if pos != suffix:
-            raise ValueError(f"malformed scenario id {scenario_id!r}: expected *_{suffix}")
-        return SigFamily.from_token(fam_token)
-
-    if len(tokens) == 2:
-        return kex, Placement(_pos(tokens[0], "root"), None, _pos(tokens[1], "leaf"))
-    if len(tokens) == 3:
-        return kex, Placement(
-            _pos(tokens[0], "root"), _pos(tokens[1], "int"), _pos(tokens[2], "leaf")
-        )
-    raise ValueError(f"malformed scenario id {scenario_id!r}")
+        if pos != name:
+            raise ValueError(f"malformed scenario id {scenario_id!r}: expected *_{name}")
+        families[name] = SigFamily.from_token(fam_token)
+    return kex, Placement(families["root"], families.get("int"), families["leaf"])
 
 
 def legacy_alias(kex: KexMode, placement: Placement) -> Optional[str]:
     """Leaf-only alias for uniform depth-2 hierarchies, else None."""
-    if placement.intermediate is not None or placement.root is not placement.leaf:
+    if placement.depth != 2 or placement.root is not placement.leaf:
         return None
     suffix = (
         "leaf_mldsa65" if placement.leaf is SigFamily.ML_DSA_65 else "leaf_slhdsashake192s"

@@ -409,9 +409,11 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("nonsense = 1\n")
-        with pytest.raises(ValueError):
-            load_config(path)
+        # field names that config files do not spell as keys are unknown too
+        for line in ("nonsense = 1", "regime_server_bound_ratio = 3", "service_classes = 1"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError, match="unknown config key"):
+                load_config(path)
 
 
 def test_run_all_writes_every_table(tmp_path, fixture_rows, cfg):

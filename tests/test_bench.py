@@ -118,10 +118,10 @@ def test_run_scenario_single_run(tmp_path, ml_d2_hierarchy):
 @pytest.mark.parametrize(
     "owner, attr, error",
     [
-        # the forked server fails before it accepts the control connection
-        (hs.ServerMaterial, "from_hierarchy", RuntimeError("server material refused")),
-        # the control connection, the first one run_scenario opens, is refused
-        (socket, "create_connection", ConnectionRefusedError("control connection refused")),
+        # the forked server fails before it accepts a connection
+        (hs, "run_server", RuntimeError("server refused to serve")),
+        # the data connection, the first one run_scenario opens, is refused
+        (socket, "create_connection", ConnectionRefusedError("data connection refused")),
     ],
 )
 def test_run_scenario_reaps_its_server(tmp_path, ml_d2_hierarchy, monkeypatch, owner, attr, error):

@@ -47,6 +47,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
         main(["bench", "--scenarios", str(only_b), "--campaign", "A", "--out", str(tmp_path / "r")])
     assert err.value.code == EXIT_USAGE
     assert "error: no scenario selected" in capsys.readouterr().err
+    # an id that names no scenario is printed without extra quotes
+    assert main(["provision", "--select", "bogus_id", "--out", str(tmp_path / "p")]) == EXIT_USAGE
+    expected = "error: scenario 'bogus_id' not present in input"
+    assert expected in capsys.readouterr().err.splitlines()
 
 
 def test_provision_and_bench_small(tmp_path):

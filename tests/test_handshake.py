@@ -204,18 +204,16 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
     plan += ["bad ClientFinished", "ok"]
 
     listener, port = _loopback_pair()
-    ctrl_server, ctrl_port = _loopback_pair()
+    ctrl_reader, ctrl_writer = socket.socketpair()
     records = []
 
     def reader():
-        conn, _ = ctrl_server.accept()
-        with conn, conn.makefile("r") as f:
+        with ctrl_reader, ctrl_reader.makefile("r") as f:
             for line in f:
                 records.append(json.loads(line))
 
     reader_thread = _start_thread(reader)
-    ctrl_client = socket.create_connection(("127.0.0.1", ctrl_port))
-    server_thread = _start_thread(hs.run_server, listener, material, ctrl_client, len(plan))
+    server_thread = _start_thread(hs.run_server, listener, material, ctrl_writer, len(plan))
 
     for step in plan:
         sock = socket.create_connection(("127.0.0.1", port), timeout=JOIN_TIMEOUT_S)
@@ -236,9 +234,8 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
                 except ConnectionResetError:
                     pass
     _join(server_thread)
-    ctrl_client.close()
+    ctrl_writer.close()
     _join(reader_thread)
-    ctrl_server.close()
     listener.close()
 
     assert [r["connection_index"] for r in records] == list(range(len(plan)))

@@ -115,15 +115,26 @@ def test_depth2_has_no_intermediate(ml_d2_hierarchy):
 
 
 def test_served_chain_policies(ml_d3_hierarchy, ml_d2_hierarchy):
+    """Each policy's wire chain and client trust store, by position name, at both depths."""
     _, h3 = ml_d3_hierarchy
     _, h2 = ml_d2_hierarchy
-    mirror3 = served_chain(h3, ServedChainPolicy.MIRROR)
-    assert [c.subject.split(":")[1] for c in mirror3] == ["leaf", "int"]
-    mirror2 = served_chain(h2, ServedChainPolicy.MIRROR)
-    assert [c.subject.split(":")[1] for c in mirror2] == ["leaf", "root"]
-    assert len(served_chain(h3, ServedChainPolicy.FULL_CHAIN)) == 3
-    assert len(served_chain(h3, ServedChainPolicy.LEAF_ONLY)) == 1
-    assert chain_len_unique(mirror3) == 2
+    expected = [
+        (h3, ServedChainPolicy.MIRROR, ["leaf", "int"], ["root"]),
+        (h3, ServedChainPolicy.FULL_CHAIN, ["leaf", "int", "root"], ["root"]),
+        (h3, ServedChainPolicy.LEAF_ONLY, ["leaf"], ["root", "int"]),
+        (h2, ServedChainPolicy.MIRROR, ["leaf", "root"], ["root"]),
+        (h2, ServedChainPolicy.FULL_CHAIN, ["leaf", "root"], ["root"]),
+        (h2, ServedChainPolicy.LEAF_ONLY, ["leaf"], ["root"]),
+    ]
+
+    def names(certs):
+        return [c.subject.split(":")[1] for c in certs]
+
+    for h, policy, served, trusted in expected:
+        chain = served_chain(h, policy)
+        assert names(chain) == served, (h.depth, policy)
+        assert names(pki.client_trust_store(h, policy)) == trusted, (h.depth, policy)
+        assert chain_len_unique(chain) == len(served)
 
 
 def test_validate_mirror_and_full(ml_d3_hierarchy):
