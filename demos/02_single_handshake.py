@@ -22,9 +22,7 @@ hierarchy = pki.build_hierarchy(scenario, SEED)
 
 for kex in KexMode:
     material = hs.ServerMaterial.from_hierarchy(hierarchy, kex, ServedChainPolicy.MIRROR)
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
+    listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
     result = {}
 

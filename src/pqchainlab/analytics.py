@@ -368,17 +368,7 @@ def kex_pairs(
 # --- correlations ------------------------------------------------------------
 
 
-SUBSETS = ("all_scenarios", "non_leaf_slh", "leaf_slh_only")
 CORRELATION_METRICS = ("bytes_read", "chain_bytes_unique")
-
-
-def _subset(rows: Sequence[RunAggregate], name: str) -> list[RunAggregate]:
-    if name == "all_scenarios":
-        return list(rows)
-    if name not in ("leaf_slh_only", "non_leaf_slh"):
-        raise ValueError(f"unknown subset {name!r}")
-    leaf_slh = name == "leaf_slh_only"
-    return [r for r in rows if r.placement_class.leaf_slh == leaf_slh]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -437,29 +427,21 @@ class CorrelationRow:
     spearman_rho: float
 
 
-def correlations(
-    rows: Sequence[RunAggregate],
-    subset: str = "all_scenarios",
-    metric: str = "bytes_read",
-) -> CorrelationRow:
-    members = _subset(rows, subset)
-    xs = [float(getattr(r, metric)) for r in members]
-    ys = [r.mean_ms for r in members]
-    return CorrelationRow(
-        subset=subset,
-        n_scenarios=len(members),
-        metric=metric,
-        pearson_r=pearson(xs, ys),
-        spearman_rho=spearman(xs, ys),
-    )
-
-
 def correlation_table(rows: Sequence[RunAggregate]) -> list[CorrelationRow]:
-    return [
-        correlations(rows, subset, metric)
-        for subset in SUBSETS
-        for metric in CORRELATION_METRICS
-    ]
+    """Each transport metric against mean latency, over all rows and either side of an
+    SLH-DSA leaf."""
+    subsets = {
+        "all_scenarios": list(rows),
+        "non_leaf_slh": [r for r in rows if not r.placement_class.leaf_slh],
+        "leaf_slh_only": [r for r in rows if r.placement_class.leaf_slh],
+    }
+    out = []
+    for subset, members in subsets.items():
+        ys = [r.mean_ms for r in members]
+        for metric in CORRELATION_METRICS:
+            xs = [float(getattr(r, metric)) for r in members]
+            out.append(CorrelationRow(subset, len(members), metric, pearson(xs, ys), spearman(xs, ys)))
+    return out
 
 
 # --- counterexamples -----------------------------------------------------------
@@ -788,15 +770,12 @@ def plausibility_rank(
 # --- report writing ------------------------------------------------------------------
 
 
-def run_all(
+def compute_tables(
     rows: Sequence[RunAggregate],
-    out_dir: Path | str,
     cfg: AnalysisConfig,
     warn: Callable[[str], None] = lambda _m: None,
 ) -> dict[str, list]:
-    """Run every analysis and write one CSV per reproduced table."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Every reproduced table by name, each analysis run once."""
     normalized = normalize_to_baseline(rows, cfg.baseline_id)
     strategy_matrix = [n for r, n in zip(rows, normalized) if r.campaign == "B"] or normalized
     economics = economic_model(rows, cfg)
@@ -809,7 +788,7 @@ def run_all(
             warn(f"{name} skipped: {exc}")
             return []
 
-    results = {
+    return {
         "campaignA_pairs": attempt(lambda: campaign_a_pairs(rows), "campaignA_pairs"),
         "strategy_matrix": strategy_matrix,
         "placement_summary": placement_summary(rows, cfg.baseline_id),
@@ -829,6 +808,18 @@ def run_all(
         "service_classes": service_class_table(economics, cfg),
         "plausibility": plausibility_rank(rows, strategy_matrix, cfg),
     }
+
+
+def run_all(
+    rows: Sequence[RunAggregate],
+    out_dir: Path | str,
+    cfg: AnalysisConfig,
+    warn: Callable[[str], None] = lambda _m: None,
+) -> dict[str, list]:
+    """Compute every table and write one CSV per table; return the tables."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = compute_tables(rows, cfg, warn)
     for name, table in results.items():
         write_rows(table, out_dir / f"{name}.csv")
     return results

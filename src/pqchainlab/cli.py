@@ -135,31 +135,26 @@ def _provision_share(share: list[Scenario], seed: bytes, out_dir: Path, now: int
         pki.write_hierarchy(h, out_dir / scenario.display_id)
 
 
-def cmd_provision(args) -> int:
+def provision(scenarios: list[Scenario], seed: bytes, out_dir: Path, jobs: Optional[int],
+              now: int) -> int:
+    """Build and write the hierarchies of ``scenarios`` and their manifest; return an exit code."""
     # Resolve the issuance backend here, so that the forked workers inherit
-    # the loaded library, or on python mldsa and NumPy, instead of each
-    # loading it.
+    # what it loaded instead of each loading it.
     issuance = backend.issuance_backend()
-    if issuance["name"] == "python":
-        from .crypto import mldsa  # noqa: F401
-
-    scenarios = _select(args)
-    seed = _parse_seed(args.seed)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Longest first: each hierarchy, costliest first, joins the least-loaded share.
-    jobs = max(1, min(args.jobs or os.cpu_count() or 1, len(scenarios)))
+    jobs = max(1, min(jobs or os.cpu_count() or 1, len(scenarios)))
     shares: list[list[Scenario]] = [[] for _ in range(jobs)]
     for scenario in sorted(scenarios, key=_provision_cost, reverse=True):
         min(shares, key=lambda share: sum(map(_provision_cost, share))).append(scenario)
     # This process runs share 0; a forked child runs each other share and
     # reports through its exit code, as main() would.
     children = [
-        bench.fork_call(_exit_code, _provision_share, share, seed, out_dir, args.now)
+        bench.fork_call(_exit_code, _provision_share, share, seed, out_dir, now)
         for share in shares[1:]
     ]
     try:
-        _provision_share(shares[0], seed, out_dir, args.now)
+        _provision_share(shares[0], seed, out_dir, now)
     finally:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
     for code in codes:
@@ -169,8 +164,12 @@ def cmd_provision(args) -> int:
             return code if code > 0 else EXIT_CRYPTO
     for scenario in scenarios:
         print(f"provisioned {scenario.display_id}")
-    write_manifest(out_dir / "manifest.json", seed.hex(), scenarios, "n/a", args.now, issuance)
+    write_manifest(out_dir / "manifest.json", seed.hex(), scenarios, "n/a", now, issuance)
     return EXIT_OK
+
+
+def cmd_provision(args) -> int:
+    return provision(_select(args), _parse_seed(args.seed), Path(args.out), args.jobs, args.now)
 
 
 def _measure(scenarios: list[Scenario], pki_dir, cfg: bench.BenchConfig, out_dir: Path) -> list:
@@ -333,10 +332,7 @@ def cmd_reproduce(args) -> int:
     seed = _parse_seed(args.seed)
     write_scenarios(scenarios, out_dir / "scenarios.json")
     pki_dir = out_dir / "pki"
-
-    argv = ["provision", "--scenarios", str(out_dir / "scenarios.json"), "--seed", args.seed]
-    argv += ["--out", str(pki_dir), "--now", str(args.now)]
-    code = cmd_provision(build_parser().parse_args(argv))
+    code = provision(scenarios, seed, pki_dir, None, args.now)
     if code != EXIT_OK:
         return code
 

@@ -18,9 +18,9 @@ once per process, on the first issuance; issuance stays on ``python``
 when ``PQCHAINLAB_LIBCRYPTO`` is empty, when the library does not load
 or when it lacks either algorithm.  The library is never searched for.
 
-:mod:`~pqchainlab.crypto.mldsa`, and with it NumPy, is imported on the
-first deterministic ML-DSA signature on ``python``, so processes that
-never issue a certificate there do not load it.  Likewise
+:mod:`~pqchainlab.crypto.mldsa`, and with it NumPy, is imported when
+:func:`issuing_library` resolves issuance to ``python``, so processes
+that never issue a certificate there do not load it.  Likewise
 :mod:`~pqchainlab.crypto.slhdsa` is imported on the first Python SLH-DSA
 operation.  Both are called through their module attributes.  Each
 ML-DSA issuer seed is expanded at most once per process: the expanded
@@ -108,13 +108,18 @@ class KeyPair:
 
 @functools.lru_cache(maxsize=None)
 def issuing_library():
-    """The :class:`.openssl.Library` that issues certificates, or None to issue in Python."""
+    """The :class:`.openssl.Library` that issues certificates, or None to issue in Python
+    (then with :mod:`.mldsa` loaded, for processes forked after the call to inherit)."""
     path = os.environ.get(LIBCRYPTO_ENV, DEFAULT_LIBCRYPTO)
-    if not path:
-        return None
-    from . import openssl
+    lib = None
+    if path:
+        from . import openssl
 
-    return openssl.load(path)
+        lib = openssl.load(path)
+    if lib is None:
+        from . import mldsa  # noqa: F401
+
+    return lib
 
 
 def issuance_backend() -> dict:
@@ -147,6 +152,14 @@ def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
         raise
     except Exception as exc:  # backend failure
         raise CryptoError(f"keypair generation failed: {exc}") from exc
+
+
+def keypair_from_secret(alg: SigFamily, secret_key: bytes) -> KeyPair:
+    """The keypair of a stored secret: an ML-DSA seed is expanded again, and an SLH-DSA
+    private key (FIPS 205) ends with its public key, PK.seed || PK.root."""
+    if alg is SigFamily.ML_DSA_65:
+        return generate_keypair(alg, secret_key)
+    return KeyPair(alg, secret_key[-SIG_PARAMS[alg].public_key_len :], secret_key)
 
 
 @functools.lru_cache(maxsize=16)
@@ -268,13 +281,9 @@ def client_share(mode: KexMode, rng: RandomBytes = os.urandom) -> tuple[bytes, C
 
 
 def server_respond_kex(
-    mode: KexMode, client_share_bytes: bytes, rng: RandomBytes = os.urandom
+    mode: KexMode, client_share_bytes: bytes
 ) -> tuple[bytes, Optional[bytes], Optional[bytes]]:
-    """Server side: returns (server share, classical_ss, kem_ss).
-
-    ML-KEM encapsulation draws randomness from the backend; the rng
-    parameter seeds only the X25519 ephemeral.
-    """
+    """Server side, on fresh randomness: returns (server share, classical_ss, kem_ss)."""
     if len(client_share_bytes) != client_share_len(mode):
         raise CryptoError("client key share has wrong length")
     share = b""
@@ -285,7 +294,7 @@ def server_respond_kex(
             client_share_bytes[:X25519_PUBLIC_LEN]
         )
         offset = X25519_PUBLIC_LEN
-        xk = _pyca_x25519.X25519PrivateKey.from_private_bytes(rng(32))
+        xk = _pyca_x25519.X25519PrivateKey.from_private_bytes(os.urandom(32))
         classical_ss = xk.exchange(peer)
         share += xk.public_key().public_bytes_raw()
     if mode in (KexMode.HYBRID, KexMode.PURE_PQC):

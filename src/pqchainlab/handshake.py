@@ -287,10 +287,9 @@ def client_handshake(
     kex: KexMode,
     trust_store: list[CertificateRecord],
     now: int = pki.DEFAULT_NOW,
-    rng: RandomBytes = os.urandom,
 ) -> ClientResult:
     """Run the client side on a connected socket; raises HandshakeError."""
-    return _drive(sock, client_flow(kex, trust_store, now, rng))
+    return _drive(sock, client_flow(kex, trust_store, now))
 
 
 # --- server -------------------------------------------------------------
@@ -319,7 +318,7 @@ class ServerResult:
     client_finished_ok: bool
 
 
-def server_flow(material: ServerMaterial, rng: RandomBytes = os.urandom) -> Flow:
+def server_flow(material: ServerMaterial) -> Flow:
     """The server side as a flow; returns a ServerResult, raises HandshakeError."""
     t = _Transcript()
     hello = t.recv((yield), MSG_CLIENT_HELLO)
@@ -331,10 +330,10 @@ def server_flow(material: ServerMaterial, rng: RandomBytes = os.urandom) -> Flow
         raise UnsupportedGroup(f"group 0x{group_id:04x} not enabled for this scenario")
 
     try:
-        server_share, classical_ss, kem_ss = backend.server_respond_kex(mode, hello[34:], rng)
+        server_share, classical_ss, kem_ss = backend.server_respond_kex(mode, hello[34:])
     except (CryptoError, ValueError) as exc:  # pyca refuses some shares with ValueError
         raise Malformed(f"bad client key share: {exc}") from exc
-    yield t.send(MSG_SERVER_HELLO, rng(32) + server_share)
+    yield t.send(MSG_SERVER_HELLO, os.urandom(32) + server_share)
     secrets = derive_secrets(classical_ss, kem_ss, t.digest())
 
     # Each frame goes out as soon as it exists, so the client validates
@@ -350,11 +349,9 @@ def server_flow(material: ServerMaterial, rng: RandomBytes = os.urandom) -> Flow
     return ServerResult(secrets, t.bytes_read, t.bytes_written, ok)
 
 
-def server_handshake(
-    sock: socket.socket, material: ServerMaterial, rng: RandomBytes = os.urandom
-) -> ServerResult:
+def server_handshake(sock: socket.socket, material: ServerMaterial) -> ServerResult:
     """Serve one handshake on an accepted socket; raises HandshakeError."""
-    return _drive(sock, server_flow(material, rng))
+    return _drive(sock, server_flow(material))
 
 
 # --- serving loop with control channel ----------------------------------
@@ -365,37 +362,33 @@ CONNECTION_TIMEOUT_S = 30.0
 
 
 def run_server(
-    listener: socket.socket,
-    material: ServerMaterial,
-    control: Optional[socket.socket] = None,
-    max_connections: Optional[int] = None,
-    rng: RandomBytes = os.urandom,
+    listener: socket.socket, material: ServerMaterial, control: socket.socket, max_connections: int
 ) -> int:
-    """Accept and serve handshakes strictly sequentially.
+    """Accept and serve up to ``max_connections`` handshakes strictly sequentially.
 
     After each connection a JSON line
     ``{"connection_index": i, "server_cpu_ms": x, "bytes_in": n, "bytes_out": m}``
-    is written to the control socket.  Transport or protocol failures, a
+    is written to ``control``.  Transport or protocol failures, a
     ClientFinished that does not verify included, drop the connection and
-    continue with an ``{"connection_index": i, "error": reason}`` record;
-    the loop ends after ``max_connections`` or when the listener closes.
-    Returns the number of completed handshakes.
+    continue with an ``{"connection_index": i, "error": reason}`` record.
+    The loop ends after ``max_connections``, when the listener closes or
+    when ``control`` can no longer be written.  Returns the number of
+    completed handshakes.
     """
-    ctrl_file = control.makefile("w") if control is not None else None
+    ctrl_file = control.makefile("w")
     completed = 0
     index = 0
-    while max_connections is None or index < max_connections:
+    while index < max_connections:
         try:
             sock, _ = listener.accept()
         except OSError:
             break
-        record = None
         try:
             with sock:
                 sock.settimeout(CONNECTION_TIMEOUT_S)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 cpu0 = time.thread_time_ns()
-                result = server_handshake(sock, material, rng)
+                result = server_handshake(sock, material)
                 if not result.client_finished_ok:
                     raise BadFinished("ClientFinished MAC mismatch")
                 cpu_ms = (time.thread_time_ns() - cpu0) / 1e6
@@ -409,11 +402,10 @@ def run_server(
         except (HandshakeError, OSError) as exc:
             record = {"connection_index": index, "error": str(exc)}
         index += 1
-        if ctrl_file is not None and record is not None:
-            try:
-                ctrl_file.write(json.dumps(record) + "\n")
-                ctrl_file.flush()
-            except OSError:
-                break
+        try:
+            ctrl_file.write(json.dumps(record) + "\n")
+            ctrl_file.flush()
+        except OSError:
+            break
     return completed
 

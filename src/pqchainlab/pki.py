@@ -394,11 +394,7 @@ def _read_key(path: Path) -> KeyPair:
     data = path.read_bytes()
     (alg_id,) = _KEY_MAGIC.unpack_from(data, 0)
     family = SigFamily.from_alg_id(alg_id)
-    secret = data[2:]
-    if family is SigFamily.ML_DSA_65:
-        return backend.generate_keypair(family, secret)
-    # SLH private bytes embed the public half (pk_seed || pk_root)
-    return KeyPair(family, secret[-backend.SIG_PARAMS[family].public_key_len :], secret)
+    return backend.keypair_from_secret(family, data[2:])
 
 
 def write_hierarchy(h: HierarchyMaterial, directory: Path | str) -> None:

@@ -15,28 +15,6 @@ SEED = bytes.fromhex("a5" * 32)
 acceptance_lines: list[str] = []
 
 
-def rel(got, want, tol=0.005):
-    """True when ``got`` is within relative tolerance ``tol`` of ``want``."""
-    return abs(got - want) / abs(want) <= tol
-
-
-# The published regime label of every reference-table scenario not labelled "balanced".
-PUBLISHED_REGIMES = {
-    **dict.fromkeys(
-        [
-            "mlkem768__slh_root__slh_leaf", "x25519__leaf_slhdsashake192s",
-            "x25519mlkem768__leaf_slhdsashake192s", "x25519mlkem768__ml_root__ml_int__slh_leaf",
-            "x25519mlkem768__ml_root__slh_int__slh_leaf", "x25519mlkem768__ml_root__slh_leaf",
-            "x25519mlkem768__slh_root__ml_int__slh_leaf", "x25519mlkem768__slh_root__slh_int__slh_leaf",
-            "x25519mlkem768__slh_root__slh_leaf",
-        ],
-        "overwhelmingly_server_bound",
-    ),
-    "mlkem768__slh_root__ml_int__ml_leaf": "client_skewed",
-    "x25519mlkem768__slh_root__ml_int__ml_leaf": "client_skewed",
-}
-
-
 @pytest.fixture(scope="session")
 def fixture_rows():
     """The shipped reference table's 17 rows."""

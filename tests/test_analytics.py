@@ -8,8 +8,6 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PUBLISHED_REGIMES, rel
-
 from pqchainlab import analytics as an
 from pqchainlab import claims
 from pqchainlab.bench import SchemaError, read_master_summary
@@ -19,6 +17,23 @@ from pqchainlab.config import AnalysisConfig, load_config
 @pytest.fixture(scope="module")
 def cfg():
     return AnalysisConfig()
+
+
+def _unreproduced(rows, table, metric=None):
+    """The failed checks of ``claims.FIXTURE``'s figures in ``table`` (in rows keyed by
+    ``metric`` only, when given)."""
+    figures = [f for f in claims.FIXTURE if f.table == table and (metric is None or metric in f.row)]
+    assert figures
+    return [f"{c.name}: {c.detail}" for c in claims.evaluate(figures, rows) if not c.passed]
+
+
+def _published(table, metric=None):
+    """A test method: the reference rows reproduce what :func:`_unreproduced` selects."""
+
+    def test(self, fixture_rows):
+        assert not _unreproduced(fixture_rows, table, metric)
+
+    return test
 
 
 class TestLoad:
@@ -40,13 +55,7 @@ class TestNormalize:
         assert base.bytes_read_relative_to_baseline == 1.0
         assert base.server_cpu_relative_to_baseline == 1.0
 
-    def test_published_strategy_matrix_values(self, fixture_rows, cfg):
-        rows = {n.scenario_id: n for n in an.normalize_to_baseline(fixture_rows, cfg.baseline_id)}
-        assert rel(rows["x25519mlkem768__slh_root__ml_int__ml_leaf"].latency_relative_to_baseline, 2.64)
-        assert rel(rows["x25519mlkem768__ml_root__ml_int__slh_leaf"].latency_relative_to_baseline, 1733.49)
-        assert rel(rows["x25519mlkem768__slh_root__slh_int__slh_leaf"].latency_relative_to_baseline, 1741.18)
-        assert rel(rows["x25519mlkem768__ml_root__ml_int__slh_leaf"].server_cpu_relative_to_baseline, 2493.64)
-        assert rel(rows["x25519mlkem768__slh_root__ml_int__ml_leaf"].bytes_read_relative_to_baseline, 1.81)
+    test_published_strategy_matrix_values = _published("strategy_matrix")
 
     def test_missing_baseline_raises(self, fixture_rows):
         with pytest.raises(KeyError):
@@ -54,17 +63,7 @@ class TestNormalize:
 
 
 class TestCampaignA:
-    def test_published_ratios(self, fixture_rows):
-        pairs = {p.tls_group: p for p in an.campaign_a_pairs(fixture_rows)}
-        classical, hybrid = pairs["x25519"], pairs["x25519mlkem768"]
-        for group, published in claims.PUBLISHED_CAMPAIGN_A.items():
-            assert rel(pairs[group].latency_ratio, published, claims.PUBLISHED_TOLERANCE)
-        assert rel(hybrid.bytes_read_ratio, 3.187)
-        assert rel(classical.bytes_read_ratio, 3.347)
-        assert rel(classical.server_taskclock_ratio, 2765.628)
-        assert rel(hybrid.server_taskclock_ratio, 2265.961)
-        assert rel(classical.client_taskclock_ratio, 6.107)
-        assert rel(hybrid.client_taskclock_ratio, 5.303)
+    test_published_ratios = _published("campaignA_pairs")
 
     def test_missing_pair_raises(self, fixture_rows):
         without_slh = [
@@ -75,21 +74,7 @@ class TestCampaignA:
 
 
 class TestPlacementSummary:
-    def test_published_class_stats(self, fixture_rows, cfg):
-        table = {p.placement_class: p for p in an.placement_summary(fixture_rows, cfg.baseline_id)}
-        assert table["all_ml"].n_scenarios == 5
-        assert table["root_slh_leaf_not_slh"].n_scenarios == 3
-        assert table["intermediate_slh_any"].n_scenarios == 2
-        assert table["leaf_slh"].n_scenarios == 9
-        assert rel(table["all_ml"].mean_elapsed_ms, 0.763)
-        assert rel(table["root_slh_leaf_not_slh"].mean_elapsed_ms, 2.464)
-        assert rel(table["intermediate_slh_any"].mean_elapsed_ms, 1407.253)
-        assert rel(table["leaf_slh"].mean_elapsed_ms, 1413.171)
-        assert rel(table["leaf_slh"].median_elapsed_ms, 1406.283)
-        assert rel(table["leaf_slh"].mean_server_cpu_vs_baseline, 2510.849)
-        assert rel(table["root_slh_leaf_not_slh"].mean_latency_vs_baseline, 3.046)
-        assert rel(table["all_ml"].mean_server_over_elapsed, 0.744)
-        assert rel(table["leaf_slh"].mean_client_over_elapsed, 0.002, tol=0.15)
+    test_published_class_stats = _published("placement_summary")
 
     def test_single_class_mean_equals_global(self, fixture_rows, cfg):
         all_ml_rows = [
@@ -106,18 +91,8 @@ class TestPlacementSummary:
 
 class TestDepthPairs:
     def test_published_values(self, fixture_rows):
-        pairs = {d.pair_label: d for d in an.depth_pairs(fixture_rows)}
-        assert len(pairs) == 6
-        slh_root = pairs["SLH root + ML leaf"]
-        assert rel(slh_root.latency_ratio, 0.6318)
-        assert slh_root.delta_bytes_read == pytest.approx(-11015, rel=0.005)
-        assert slh_root.delta_chain_bytes_unique == -10993
-        assert rel(slh_root.server_taskclock_ratio, 0.3485)
-        ml = pairs["ML/ML"]
-        assert rel(ml.latency_ratio, 0.9997)
-        assert ml.delta_bytes_read == pytest.approx(16, rel=0.005)
-        assert rel(pairs["SLH/SLH (ML intermediate)"].latency_ratio, 0.9968)
-        assert rel(pairs["SLH/SLH (SLH intermediate)"].latency_ratio, 1.0007)
+        assert len(an.depth_pairs(fixture_rows)) == 6
+        assert not _unreproduced(fixture_rows, "depth_pairs")
 
     def test_identical_rows_give_unit_ratio(self, fixture_rows):
         index = {r.scenario_id: r for r in fixture_rows}
@@ -138,15 +113,8 @@ class TestDepthPairs:
 
 class TestKexPairs:
     def test_published_values(self, fixture_rows):
-        rows = {(k.comparison_type, k.family_label): k for k in an.kex_pairs(fixture_rows)}
-        assert len(rows) == 5
-        assert rel(rows[("classical_vs_hybrid", "ML root / ML leaf (depth 2)")].latency_ratio_to_over_from, 1.2210)
-        assert rel(rows[("classical_vs_hybrid", "SLH root / SLH leaf (depth 2)")].latency_ratio_to_over_from, 0.9652)
-        assert rel(rows[("hybrid_vs_pure_pqc", "ML root / ML leaf (depth 2)")].latency_ratio_to_over_from, 0.8220)
-        assert rel(rows[("hybrid_vs_pure_pqc", "SLH root / SLH leaf (depth 2)")].latency_ratio_to_over_from, 0.9984)
-        assert rel(rows[("hybrid_vs_pure_pqc", "SLH root / ML int / ML leaf (depth 3)")].latency_ratio_to_over_from, 0.8833)
-        assert rel(rows[("classical_vs_hybrid", "ML root / ML leaf (depth 2)")].bytes_read_ratio_to_over_from, 1.0730)
-        assert rel(rows[("hybrid_vs_pure_pqc", "SLH root / ML int / ML leaf (depth 3)")].server_task_ratio_to_over_from, 0.7903)
+        assert len(an.kex_pairs(fixture_rows)) == 5
+        assert not _unreproduced(fixture_rows, "kex_pairs")
 
     def test_same_row_both_slots_gives_unit(self, fixture_rows):
         index = {r.scenario_id: r for r in fixture_rows}
@@ -157,28 +125,9 @@ class TestKexPairs:
 
 
 class TestCorrelations:
-    def test_published_bytes_read_correlations(self, fixture_rows):
-        c_all = an.correlations(fixture_rows, "all_scenarios", "bytes_read")
-        assert c_all.n_scenarios == 17
-        assert abs(c_all.pearson_r - 0.7493) <= 0.002
-        assert abs(c_all.spearman_rho - 0.8503) <= 0.002
-        c_non = an.correlations(fixture_rows, "non_leaf_slh", "bytes_read")
-        assert c_non.n_scenarios == 8
-        assert abs(c_non.pearson_r - 0.9937) <= 0.002
-        assert abs(c_non.spearman_rho - 0.8982) <= 0.002
-        c_slh = an.correlations(fixture_rows, "leaf_slh_only", "bytes_read")
-        assert c_slh.n_scenarios == 9
-        assert abs(c_slh.pearson_r - 0.3518) <= 0.002
-        assert abs(c_slh.spearman_rho - 0.5523) <= 0.002
+    test_published_bytes_read_correlations = _published("correlations", "bytes_read")
 
-    def test_chain_bytes_correlations_close_to_published(self, fixture_rows):
-        # chain-size column mixes published and reconstructed values, so the
-        # comparison is held to a looser band than the bytes-read one
-        c_all = an.correlations(fixture_rows, "all_scenarios", "chain_bytes_unique")
-        assert abs(c_all.pearson_r - 0.3943) <= 0.005
-        assert abs(c_all.spearman_rho - 0.5227) <= 0.005
-        c_non = an.correlations(fixture_rows, "non_leaf_slh", "chain_bytes_unique")
-        assert abs(c_non.pearson_r - 0.9933) <= 0.005
+    test_chain_bytes_correlations_close_to_published = _published("correlations", "chain_bytes_unique")
 
     def test_agrees_with_scipy(self, fixture_rows):
         xs = [r.bytes_read for r in fixture_rows]
@@ -232,22 +181,13 @@ class TestCorrelations:
 
 class TestCounterexamples:
     def test_published_rank1(self, fixture_rows):
+        assert not _unreproduced(fixture_rows, "counterexamples", "bytes_read")
         rows = an.counterexamples(fixture_rows, "bytes_read", 5)
-        top = rows[0]
-        assert top.scenario_more_bytes_lower_latency == "x25519mlkem768__slh_root__ml_leaf"
-        assert top.scenario_less_bytes_higher_latency == "x25519mlkem768__ml_root__slh_leaf"
-        assert top.more_bytes_value == pytest.approx(39962)
-        assert top.less_bytes_value == pytest.approx(26999)
-        assert rel(top.latency_ratio_higher_over_lower, 416.5316)
         assert [r.rank for r in rows] == [1, 2, 3, 4, 5]
         diffs = [r.bytes_diff for r in rows]
         assert diffs == sorted(diffs, reverse=True)
 
-    def test_published_chain_bytes_rank1(self, fixture_rows):
-        rows = an.counterexamples(fixture_rows, "chain_bytes_unique", 5)
-        assert rows[0].more_bytes_value == 35047
-        assert rows[0].less_bytes_value == 9214
-        assert rows[0].bytes_diff == 25833
+    test_published_chain_bytes_rank1 = _published("counterexamples", "chain_bytes_unique")
 
     def test_monotone_dataset_empty(self, fixture_rows):
         index = {r.scenario_id: r for r in fixture_rows}
@@ -264,9 +204,7 @@ class TestCounterexamples:
 
 
 class TestRegimes:
-    def test_all_17_published_labels(self, fixture_rows):
-        for row in fixture_rows:
-            assert an.regime_label(row).value == PUBLISHED_REGIMES.get(row.scenario_id, "balanced"), row.scenario_id
+    test_all_17_published_labels = _published("decomposition")
 
     def test_decomposition_table_shape(self, fixture_rows):
         table = an.decomposition_table(fixture_rows)
@@ -276,16 +214,11 @@ class TestRegimes:
 
 class TestCapacity:
     def test_published_values(self, fixture_rows, cfg):
-        rows = {c.scenario_id: c for c in an.capacity_model(fixture_rows, cfg.baseline_id)}
-        base = rows[cfg.baseline_id]
-        assert base.handshakes_per_core_second == pytest.approx(1779.68, rel=0.001)
-        assert base.handshakes_per_vcpu_hour == pytest.approx(6406856.76, rel=0.001)
-        pure = rows["mlkem768__ml_root__ml_leaf"]
-        assert pure.capacity_retained_vs_baseline == pytest.approx(1.0906, rel=0.001)
-        assert pure.infrastructure_multiplier_needed == pytest.approx(0.9169, rel=0.001)
+        assert not _unreproduced(fixture_rows, "capacity")
+        # the median leaf-SLH multiplier is published but is no single cell
         multipliers = sorted(
             c.infrastructure_multiplier_needed
-            for c in rows.values()
+            for c in an.capacity_model(fixture_rows, cfg.baseline_id)
             if c.conceptual_perf_group == "leaf_slh"
         )
         assert multipliers[len(multipliers) // 2] == pytest.approx(2500.28, rel=0.005)
@@ -303,15 +236,7 @@ class TestCapacity:
 
 
 class TestEconomics:
-    def test_published_values(self, fixture_rows, cfg):
-        rows = {e.scenario_id: e for e in an.economic_model(fixture_rows, cfg)}
-        base = rows[cfg.baseline_id]
-        assert rel(base.cpu_hours_per_million, 0.1561)
-        assert rel(base.cost_per_million, 0.006243)
-        worst = rows["x25519__leaf_slhdsashake192s"]
-        assert rel(worst.cost_per_million, 16.2476)
-        assert rel(worst.cost_multiplier_vs_baseline, 2602.40)
-        assert rel(rows["x25519mlkem768__slh_root__ml_int__ml_leaf"].cost_per_million, 0.0074, tol=0.01)
+    test_published_values = _published("economics")
 
     def test_unit_identities(self, fixture_rows, cfg):
         for row in an.economic_model(fixture_rows, cfg):
@@ -322,18 +247,7 @@ class TestEconomics:
                 row.cpu_hours_per_million * cfg.price_per_cpu_hour
             )
 
-    def test_published_service_class_figures(self, fixture_rows, cfg):
-        eco = an.economic_model(fixture_rows, cfg)
-        table = {
-            (s.service_class, s.conceptual_economic_class): s
-            for s in an.service_class_table(eco, cfg)
-        }
-        assert rel(table[("high_volume_frontend", "all_ml")].mean_monthly_cost, 18.87)
-        assert rel(table[("medium_api", "leaf_slh")].median_monthly_cost, 4683.01)
-        assert rel(table[("high_volume_frontend", "leaf_slh")].median_monthly_cost, 46830.11)
-        assert rel(table[("high_volume_frontend", "leaf_slh")].mean_monthly_cost, 47028.03)
-        assert rel(table[("small_internal", "leaf_slh")].median_extra_monthly_cost, 46.8114)
-        assert rel(table[("high_volume_frontend", "leaf_slh")].mean_annual_cost, 572174.36)
+    test_published_service_class_figures = _published("service_classes")
 
     def test_monthly_is_30x_daily(self, fixture_rows, cfg):
         eco = an.economic_model(fixture_rows, cfg)
@@ -351,17 +265,12 @@ class TestPlausibility:
         return [r for r in fixture_rows if r.campaign == "B"]
 
     def test_published_ranking(self, fixture_rows, cfg):
+        assert not _unreproduced(fixture_rows, "plausibility")
         rows = self._campaign_b(fixture_rows)
         ranking = an.plausibility_rank(rows, an.normalize_to_baseline(rows, cfg.baseline_id), cfg)
-        assert [p.plausibility_rank for p in ranking] == [1, 2, 4, 4, 4, 4]
-        assert ranking[0].scenario_id == cfg.baseline_id
-        assert ranking[0].operational_plausibility == "Reasonable"
-        assert ranking[1].scenario_id == "x25519mlkem768__slh_root__ml_int__ml_leaf"
-        assert ranking[1].operational_plausibility == "Penalized but plausible"
-        assert all(
-            p.operational_plausibility == "Unsuitable for interactive TLS front-end"
-            for p in ranking[2:]
-        )
+        assert len(ranking) == 6
+        latency = [p.latency_relative_to_baseline for p in ranking]
+        assert latency == sorted(latency)
 
     def test_scale_invariance(self, fixture_rows, cfg):
         rows = self._campaign_b(fixture_rows)
@@ -418,22 +327,8 @@ class TestConfig:
 
 def test_run_all_writes_every_table(tmp_path, fixture_rows, cfg):
     results = an.run_all(fixture_rows, tmp_path, cfg)
-    expected = {
-        "campaignA_pairs",
-        "strategy_matrix",
-        "placement_summary",
-        "depth_pairs",
-        "kex_pairs",
-        "correlations",
-        "counterexamples",
-        "decomposition",
-        "capacity",
-        "economics",
-        "service_classes",
-        "plausibility",
-    }
-    assert set(results) == expected
-    for name in expected:
+    assert set(results) == set(claims.ROW_KEYS)
+    for name in results:
         assert (tmp_path / f"{name}.csv").exists()
 
 
@@ -462,3 +357,4 @@ def test_pairings_and_claims_ignore_row_order(fixture_rows):
     assert an.campaign_a_pairs(backwards) == an.campaign_a_pairs(fixture_rows)
     live = [sorted(claims.evaluate(claims.LIVE, rows)) for rows in (fixture_rows, backwards)]
     assert live[0] == live[1]
+    assert all(check.passed for check in claims.evaluate(claims.FIXTURE, backwards))

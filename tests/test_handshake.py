@@ -32,13 +32,6 @@ def _join(*threads):
         assert not thread.is_alive(), f"{thread.name} still running after {JOIN_TIMEOUT_S} s"
 
 
-def _loopback_pair():
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    return listener, listener.getsockname()[1]
-
-
 @pytest.mark.parametrize("kex", list(KexMode))
 def test_roundtrip_all_kex_modes(ml_d3_hierarchy, kex):
     _, h = ml_d3_hierarchy
@@ -203,7 +196,8 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
     plan = ["ok"] + [step for name in hostile for step in (name, "ok")]
     plan += ["bad ClientFinished", "ok"]
 
-    listener, port = _loopback_pair()
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
     ctrl_reader, ctrl_writer = socket.socketpair()
     records = []
 
