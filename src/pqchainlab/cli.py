@@ -1,7 +1,8 @@
 """Command-line surface: provision PKI, run campaigns, analyze, report.
 
-Exit codes: 0 success, 1 usage error, 2 crypto failure, 3 transport or
-benchmark failure, 4 input schema mismatch.
+Exit codes: 0 success, 1 usage error, 2 crypto failure or a corrupt
+certificate or key file, 3 transport or benchmark failure, 4 input schema
+mismatch.
 """
 
 from __future__ import annotations
@@ -251,14 +252,19 @@ def _analysis_input(args) -> Path:
 def _analysis(args):
     """Load the input rows, run every table and plot into ``--out``; return (rows, results).
 
-    ``--baseline`` overrides the configured baseline.  A baseline absent
-    from the rows is a usage error: it is reported and None returned.
+    ``--baseline`` overrides the configured baseline.  A ``--config`` file
+    that does not load and a baseline absent from the rows are usage
+    errors: each is reported and None returned.
     """
     from . import analytics
     from .config import AnalysisConfig, load_config
 
     rows = bench.read_master_summary(_analysis_input(args))
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (ValueError, OSError) as exc:
+        print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+        return None
     if args.baseline:
         cfg = AnalysisConfig(**{**cfg.__dict__, "baseline_id": args.baseline})
     try:
@@ -416,7 +422,7 @@ def _exit_code(func, *args) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except CryptoError as exc:
+    except (CryptoError, pki.CodecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CRYPTO
     except (ScenarioFailed, ConnectionError, TimeoutError, OSError) as exc:

@@ -192,10 +192,8 @@ def decode_certificate_msg(body: bytes) -> list[CertificateRecord]:
         offset = 1
         certs = []
         for _ in range(count):
-            (n,) = struct.unpack_from(">I", body, offset)
-            offset += 4
-            certs.append(pki.decode_certificate(body[offset : offset + n]))
-            offset += n
+            encoded, offset = pki.read_prefixed(body, offset)
+            certs.append(pki.decode_certificate(encoded))
         if offset != len(body) or not certs:
             raise Malformed("bad certificate message framing")
         return certs
@@ -313,8 +311,6 @@ class ServerMaterial:
 @dataclass
 class ServerResult:
     secrets: SessionSecrets
-    bytes_read: int
-    bytes_written: int
     client_finished_ok: bool
 
 
@@ -346,7 +342,7 @@ def server_flow(material: ServerMaterial) -> Flow:
     th_sf = t.digest()
     cf = t.recv((yield), MSG_CLIENT_FINISHED)
     ok = hmac.compare_digest(cf, _finished_mac(secrets, th_sf))
-    return ServerResult(secrets, t.bytes_read, t.bytes_written, ok)
+    return ServerResult(secrets, ok)
 
 
 def server_handshake(sock: socket.socket, material: ServerMaterial) -> ServerResult:
@@ -366,11 +362,11 @@ def run_server(
 ) -> int:
     """Accept and serve up to ``max_connections`` handshakes strictly sequentially.
 
-    After each connection a JSON line
-    ``{"connection_index": i, "server_cpu_ms": x, "bytes_in": n, "bytes_out": m}``
-    is written to ``control``.  Transport or protocol failures, a
-    ClientFinished that does not verify included, drop the connection and
-    continue with an ``{"connection_index": i, "error": reason}`` record.
+    After each connection a JSON line ``{"connection_index": i,
+    "server_cpu_ms": x}`` is written to ``control``.  Transport or protocol
+    failures, a ClientFinished that does not verify included, drop the
+    connection and continue with an ``{"connection_index": i, "error":
+    reason}`` record.
     The loop ends after ``max_connections``, when the listener closes or
     when ``control`` can no longer be written.  Returns the number of
     completed handshakes.
@@ -392,12 +388,7 @@ def run_server(
                 if not result.client_finished_ok:
                     raise BadFinished("ClientFinished MAC mismatch")
                 cpu_ms = (time.thread_time_ns() - cpu0) / 1e6
-                record = {
-                    "connection_index": index,
-                    "server_cpu_ms": cpu_ms,
-                    "bytes_in": result.bytes_read,
-                    "bytes_out": result.bytes_written,
-                }
+                record = {"connection_index": index, "server_cpu_ms": cpu_ms}
                 completed += 1
         except (HandshakeError, OSError) as exc:
             record = {"connection_index": index, "error": str(exc)}

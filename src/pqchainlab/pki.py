@@ -1,9 +1,10 @@
 """Certificate hierarchy material: codec, issuance, serving policy, validation.
 
 Certificates use a canonical fixed-order binary encoding (big-endian
-integers, u32 length prefixes on variable fields) rather than DER; the
-byte budget is dominated by keys and signatures, so transport ratios stay
-representative while byte accounting stays exact and reproducible.  A
+integers, u32 length prefixes on variable fields) rather than DER, laid
+out by one table, ``TBS_FIELDS``; the byte budget is dominated by keys
+and signatures, so transport ratios stay representative while byte
+accounting stays exact and reproducible.  A
 self-signed root is 2.7% (ML-DSA-65) and 0.9% (SLH-DSA-SHAKE-192s)
 smaller than the X.509 DER root that ``openssl req -x509`` makes with the
 same subject and a CA basic constraint (``tests/test_pki.py`` pins both).
@@ -35,8 +36,48 @@ VALIDITY_LIFETIME = 365 * 86400
 _TBS_VERSION = 1
 
 
+# The to-be-signed fields in wire order: a ``struct`` code for a fixed-size
+# big-endian field, or TEXT / BYTES for a u32-length-prefixed UTF-8 string
+# or byte string.  This is the one statement of the layout: encode_tbs and
+# decode_certificate loop over it, and every caller names the fields.
+TEXT, BYTES = "text", "bytes"
+TBS_FIELDS = (
+    ("version", "B"),
+    ("serial", "Q"),
+    ("subject", TEXT),
+    ("issuer", TEXT),
+    ("sig_alg_id", "H"),
+    ("pk_alg_id", "H"),
+    ("public_key", BYTES),
+    ("not_before", "Q"),
+    ("not_after", "Q"),
+    ("is_ca", "?"),
+)
+# TBS_FIELDS with each struct code precompiled
+_TBS_CODECS = [(n, c if c in (TEXT, BYTES) else struct.Struct(">" + c)) for n, c in TBS_FIELDS]
+_TBS_NAMES = {name for name, _ in TBS_FIELDS}
+_U32 = struct.Struct(">I")
+
+
+class CodecError(ValueError):
+    """Certificate bytes do not parse, are not canonical or name an unknown algorithm."""
+
+
+def read_prefixed(data: bytes, offset: int) -> tuple[bytes, int]:
+    """The u32-length-prefixed field at ``offset`` and the offset after it."""
+    start = offset + _U32.size
+    if start > len(data):
+        raise CodecError("truncated length prefix")
+    end = start + _U32.unpack_from(data, offset)[0]
+    if end > len(data):
+        raise CodecError("length prefix runs past the end")
+    return data[start:end], end
+
+
 @dataclass(frozen=True)
 class CertificateRecord:
+    """A decoded certificate: the ``TBS_FIELDS`` by name, the signature and the encoded bytes."""
+
     version: int
     serial: int
     subject: str
@@ -59,112 +100,55 @@ class CertificateRecord:
         return SigFamily.from_alg_id(self.pk_alg_id)
 
     def tbs_bytes(self) -> bytes:
-        return encode_tbs(
-            self.version,
-            self.serial,
-            self.subject,
-            self.issuer,
-            self.sig_alg_id,
-            self.pk_alg_id,
-            self.public_key,
-            self.not_before,
-            self.not_after,
-            self.is_ca,
-        )
+        """The signed bytes: decoding checked that they re-encode to themselves."""
+        return read_prefixed(self.encoded, 0)[0]
 
 
-def encode_tbs(
-    version: int,
-    serial: int,
-    subject: str,
-    issuer: str,
-    sig_alg_id: int,
-    pk_alg_id: int,
-    public_key: bytes,
-    not_before: int,
-    not_after: int,
-    is_ca: bool,
-) -> bytes:
-    subject_b = subject.encode()
-    issuer_b = issuer.encode()
-    parts = [
-        struct.pack(">BQ", version, serial),
-        struct.pack(">I", len(subject_b)),
-        subject_b,
-        struct.pack(">I", len(issuer_b)),
-        issuer_b,
-        struct.pack(">HH", sig_alg_id, pk_alg_id),
-        struct.pack(">I", len(public_key)),
-        public_key,
-        struct.pack(">QQB", not_before, not_after, 1 if is_ca else 0),
-    ]
+def encode_tbs(**fields) -> bytes:
+    """The to-be-signed bytes of ``TBS_FIELDS``, each passed by name."""
+    if fields.keys() != _TBS_NAMES:
+        raise TypeError(f"encode_tbs takes exactly the TBS_FIELDS, got {sorted(fields)}")
+    parts = []
+    for name, codec in _TBS_CODECS:
+        value = fields[name]
+        if isinstance(codec, struct.Struct):
+            parts.append(codec.pack(value))
+        else:
+            value = value.encode() if codec == TEXT else value
+            parts += (_U32.pack(len(value)), value)
     return b"".join(parts)
 
 
 def encode_certificate(tbs: bytes, signature: bytes) -> bytes:
-    return struct.pack(">I", len(tbs)) + tbs + struct.pack(">I", len(signature)) + signature
-
-
-class CodecError(ValueError):
-    """Certificate bytes do not parse, are not canonical or name an unknown algorithm."""
+    return _U32.pack(len(tbs)) + tbs + _U32.pack(len(signature)) + signature
 
 
 _ALG_IDS = {family.alg_id for family in SigFamily}
 
 
 def decode_certificate(data: bytes) -> CertificateRecord:
+    tbs, offset = read_prefixed(data, 0)
+    signature, offset = read_prefixed(data, offset)
+    if offset != len(data):
+        raise CodecError("trailing certificate bytes")
+    fields, offset = {}, 0
     try:
-        (tbs_len,) = struct.unpack_from(">I", data, 0)
-        tbs = data[4 : 4 + tbs_len]
-        (sig_len,) = struct.unpack_from(">I", data, 4 + tbs_len)
-        sig_off = 8 + tbs_len
-        signature = data[sig_off : sig_off + sig_len]
-        if len(data) != sig_off + sig_len or len(signature) != sig_len:
-            raise CodecError("trailing or missing certificate bytes")
-
-        off = 0
-        version, serial = struct.unpack_from(">BQ", tbs, off)
-        off += 9
-        (n,) = struct.unpack_from(">I", tbs, off)
-        off += 4
-        subject = tbs[off : off + n].decode()
-        off += n
-        (n,) = struct.unpack_from(">I", tbs, off)
-        off += 4
-        issuer = tbs[off : off + n].decode()
-        off += n
-        sig_alg_id, pk_alg_id = struct.unpack_from(">HH", tbs, off)
-        off += 4
-        (n,) = struct.unpack_from(">I", tbs, off)
-        off += 4
-        public_key = tbs[off : off + n]
-        off += n
-        not_before, not_after, ca = struct.unpack_from(">QQB", tbs, off)
-        off += 17
-        if off != len(tbs):
-            raise CodecError("trailing tbs bytes")
+        for name, codec in _TBS_CODECS:
+            if isinstance(codec, struct.Struct):
+                (fields[name],) = codec.unpack_from(tbs, offset)
+                offset += codec.size
+            else:
+                value, offset = read_prefixed(tbs, offset)
+                fields[name] = value.decode() if codec == TEXT else value
     except (struct.error, UnicodeDecodeError) as exc:
         raise CodecError(f"malformed certificate: {exc}") from exc
-    if {sig_alg_id, pk_alg_id} - _ALG_IDS:
-        raise CodecError(f"unknown algorithm id in ({sig_alg_id}, {pk_alg_id})")
-
-    record = CertificateRecord(
-        version=version,
-        serial=serial,
-        subject=subject,
-        issuer=issuer,
-        sig_alg_id=sig_alg_id,
-        pk_alg_id=pk_alg_id,
-        public_key=public_key,
-        not_before=not_before,
-        not_after=not_after,
-        is_ca=bool(ca),
-        signature=signature,
-        encoded=data,
-    )
-    if record.tbs_bytes() != tbs:
+    if offset != len(tbs):
+        raise CodecError("trailing tbs bytes")
+    if {fields["sig_alg_id"], fields["pk_alg_id"]} - _ALG_IDS:
+        raise CodecError(f"unknown algorithm id in ({fields['sig_alg_id']}, {fields['pk_alg_id']})")
+    if encode_tbs(**fields) != tbs:
         raise CodecError("non-canonical tbs encoding")
-    return record
+    return CertificateRecord(**fields, signature=signature, encoded=data)
 
 
 def _tbs_digest(tbs: bytes) -> bytes:
@@ -183,16 +167,16 @@ def issue_certificate(
 ) -> CertificateRecord:
     """Sign a certificate over hash(tbs) with the issuer key (deterministic)."""
     tbs = encode_tbs(
-        _TBS_VERSION,
-        serial,
-        subject,
-        issuer_name,
-        issuer_key.algorithm.alg_id,
-        subject_key.algorithm.alg_id,
-        subject_key.public_key,
-        now - VALIDITY_BACKDATE,
-        now + VALIDITY_LIFETIME,
-        is_ca,
+        version=_TBS_VERSION,
+        serial=serial,
+        subject=subject,
+        issuer=issuer_name,
+        sig_alg_id=issuer_key.algorithm.alg_id,
+        pk_alg_id=subject_key.algorithm.alg_id,
+        public_key=subject_key.public_key,
+        not_before=now - VALIDITY_BACKDATE,
+        not_after=now + VALIDITY_LIFETIME,
+        is_ca=is_ca,
     )
     signature = backend.sign(issuer_key, _tbs_digest(tbs), deterministic=True)
     return decode_certificate(encode_certificate(tbs, signature))
@@ -392,9 +376,11 @@ def _write_key(path: Path, keypair: KeyPair) -> None:
 
 def _read_key(path: Path) -> KeyPair:
     data = path.read_bytes()
-    (alg_id,) = _KEY_MAGIC.unpack_from(data, 0)
+    alg_id = int.from_bytes(data[: _KEY_MAGIC.size], "big")
+    if len(data) < _KEY_MAGIC.size or alg_id not in _ALG_IDS:
+        raise CodecError(f"{path}: no known algorithm id in a {len(data)}-byte key file")
     family = SigFamily.from_alg_id(alg_id)
-    return backend.keypair_from_secret(family, data[2:])
+    return backend.keypair_from_secret(family, data[_KEY_MAGIC.size :])
 
 
 def write_hierarchy(h: HierarchyMaterial, directory: Path | str) -> None:
@@ -406,10 +392,19 @@ def write_hierarchy(h: HierarchyMaterial, directory: Path | str) -> None:
 
 
 def load_hierarchy(directory: Path | str) -> HierarchyMaterial:
+    """Read a hierarchy that :func:`write_hierarchy` wrote.
+
+    Raises CodecError for a certificate or key file that does not parse
+    and CryptoError for a key that does not fit its certificate.
+    """
     directory = Path(directory)
 
     def load(name: str) -> tuple[CertificateRecord, KeyPair]:
-        cert = decode_certificate((directory / f"{name}.cert").read_bytes())
+        path = directory / f"{name}.cert"
+        try:
+            cert = decode_certificate(path.read_bytes())
+        except CodecError as exc:
+            raise CodecError(f"{path}: {exc}") from exc
         key = _read_key(directory / f"{name}.key")
         if key.public_key != cert.public_key:
             raise CryptoError(f"{name} key does not match certificate")

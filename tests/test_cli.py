@@ -246,6 +246,17 @@ def test_analyze_missing_baseline(tmp_path):
     assert main([*argv, "--baseline", "x25519__slh_root__slh_int__slh_leaf"]) == EXIT_USAGE
 
 
+def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
+    argv = ["analyze", "--fixture", "paper", "--out", str(tmp_path / "x")]
+    for text in ("bogus = 1\n", "price_per_cpu_hour = abc\n"):
+        config = tmp_path / "analysis.cfg"
+        config.write_text(text)
+        assert main([*argv, "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert main([*argv, "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
+
+
 def test_analyze_schema_mismatch(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("scenario_id,mean_ms\na,1\n")
@@ -306,15 +317,33 @@ def test_env_var_working_directory(tmp_path, monkeypatch):
     assert (tmp_path / "work" / "scenarios.json").exists()
 
 
-def test_crypto_error_exit_code(tmp_path):
+def _mismatched_key(blob):
+    blob = bytearray(blob)
+    blob[10] ^= 0xFF  # the key no longer matches the certificate
+    return bytes(blob)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("leaf.key", _mismatched_key),
+        ("leaf.cert", lambda blob: blob[:100]),
+        ("leaf.key", lambda blob: blob[:1]),
+        ("leaf.key", lambda blob: (3).to_bytes(2, "big") + blob[2:]),  # unknown algorithm id
+    ],
+    ids=["mismatched_key", "cut_certificate", "one_byte_key", "unknown_key_algorithm"],
+)
+def test_crypto_error_exit_code(tmp_path, capsys, name, corrupt):
     sid = "x25519mlkem768__ml_root__ml_leaf"
     pki_dir = tmp_path / "pki"
     main(["provision", "--select", sid, "--out", str(pki_dir)])
-    key_file = pki_dir / sid / "leaf.key"
-    blob = bytearray(key_file.read_bytes())
-    blob[10] ^= 0xFF  # key no longer matches the certificate
-    key_file.write_bytes(bytes(blob))
+    path = pki_dir / sid / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
     code = main(
         ["bench", "--select", sid, "--pki", str(pki_dir), "--out", str(tmp_path / "r"), "--runs", "1", "--warmup", "0"]
     )
     assert code == EXIT_CRYPTO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err

@@ -43,7 +43,18 @@ from conftest import SEED
 )
 @settings(max_examples=60)
 def test_codec_roundtrip(serial, subject, issuer, pk, sig, nb, ca):
-    tbs = encode_tbs(1, serial, subject, issuer, 1, 2, pk, nb, nb + 1000, ca)
+    tbs = encode_tbs(
+        version=1,
+        serial=serial,
+        subject=subject,
+        issuer=issuer,
+        sig_alg_id=1,
+        pk_alg_id=2,
+        public_key=pk,
+        not_before=nb,
+        not_after=nb + 1000,
+        is_ca=ca,
+    )
     cert = decode_certificate(encode_certificate(tbs, sig))
     assert cert.serial == serial and cert.subject == subject and cert.issuer == issuer
     assert cert.public_key == pk and cert.signature == sig and cert.is_ca == ca
@@ -51,12 +62,35 @@ def test_codec_roundtrip(serial, subject, issuer, pk, sig, nb, ca):
 
 
 def test_codec_rejects_trailing_bytes(ml_d3_hierarchy):
+    """Each malformed or non-canonical variant of an issued certificate is a CodecError."""
     _, h = ml_d3_hierarchy
-    encoded = h.leaf[0].encoded
-    with pytest.raises(pki.CodecError):
-        decode_certificate(encoded + b"\x00")
-    with pytest.raises(pki.CodecError):
-        decode_certificate(encoded[:-1])
+    leaf = h.leaf[0]
+    encoded = leaf.encoded
+    tbs = encoded[4 : 4 + int.from_bytes(encoded[:4], "big")]
+    # version(1) serial(8), then the u32-prefixed subject and issuer
+    subject_at = 9 + 4
+    alg_ids_at = subject_at + len(leaf.subject.encode()) + 4 + len(leaf.issuer.encode())
+
+    def patched(offset, patch):
+        return encode_certificate(tbs[:offset] + patch + tbs[offset + len(patch) :], leaf.signature)
+
+    cases = {
+        "trailing byte": encoded + b"\x00",
+        "missing byte": encoded[:-1],
+        "tbs length prefix past the end": len(encoded).to_bytes(4, "big") + encoded[4:],
+        "trailing tbs byte": encode_certificate(tbs + b"\x00", leaf.signature),
+        "is_ca byte 0x02": patched(len(tbs) - 1, b"\x02"),
+        "signature algorithm id 3": patched(alg_ids_at, (3).to_bytes(2, "big")),
+        "key algorithm id 3": patched(alg_ids_at + 2, (3).to_bytes(2, "big")),
+        "subject not UTF-8": patched(subject_at, b"\xff"),
+    }
+    assert decode_certificate(patched(0, tbs[:1])) == leaf  # the patching itself is sound
+    for case, data in cases.items():
+        try:
+            decode_certificate(data)
+        except pki.CodecError:
+            continue
+        pytest.fail(f"{case}: decoded without a CodecError")
 
 
 def test_self_signed_root_verifies(ml_d3_hierarchy):
@@ -82,7 +116,7 @@ def test_tampered_tbs_fails_verification(ml_d3_hierarchy):
     assert not verify_certificate(tampered, h.intermediate[0].public_key)
 
 
-def test_issue_rejects_oversized_context():
+def test_self_issued_non_ca_certificate_verifies():
     pair = backend.generate_keypair(SigFamily.ML_DSA_65, bytes(32))
     cert = issue_certificate(
         serial=9,
@@ -196,18 +230,8 @@ def test_validate_algorithm_mismatch_before_signature(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     (leaf, _), (inter, inter_key) = h.leaf, h.intermediate
     # the leaf claims an SLH-DSA signature from its ML-DSA issuer
-    tbs = encode_tbs(
-        leaf.version,
-        leaf.serial,
-        leaf.subject,
-        leaf.issuer,
-        SigFamily.SLH_DSA_SHAKE_192S.alg_id,
-        leaf.pk_alg_id,
-        leaf.public_key,
-        leaf.not_before,
-        leaf.not_after,
-        leaf.is_ca,
-    )
+    fields = {name: getattr(leaf, name) for name, _ in pki.TBS_FIELDS}
+    tbs = encode_tbs(**{**fields, "sig_alg_id": SigFamily.SLH_DSA_SHAKE_192S.alg_id})
     signature = backend.sign(inter_key, hashlib.sha256(tbs).digest(), deterministic=True)
     claimed = decode_certificate(encode_certificate(tbs, signature))
     with pytest.raises(PathError) as err:
