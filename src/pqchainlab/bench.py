@@ -30,6 +30,7 @@ class ScenarioFailed(Exception):
     """A handshake failed mid-campaign; the scenario's data is discarded."""
 
 
+LOOPBACK = "127.0.0.1"  # every campaign's client and server share one host
 _tick_cache: Optional[float] = None
 
 
@@ -138,7 +139,6 @@ class BenchConfig:
     runs_heavy: Optional[int] = None  # separate override for SLH-leaf scenarios
     warmup: Optional[int] = None
     policy: pki.ServedChainPolicy = pki.ServedChainPolicy.MIRROR
-    host: str = "127.0.0.1"
     now: int = pki.DEFAULT_NOW
 
 
@@ -238,7 +238,7 @@ def run_scenario(
     trust = pki.client_trust_store(hierarchy, cfg.policy)
     material = hs.ServerMaterial.from_hierarchy(hierarchy, scenario.kex, cfg.policy)
 
-    listener = socket.create_server((cfg.host, 0), backlog=8)
+    listener = socket.create_server((LOOPBACK, 0), backlog=8)
     port = listener.getsockname()[1]
     control, server_end = socket.socketpair()
     server = fork_call(hs.run_server, listener, material, server_end, total)
@@ -254,7 +254,7 @@ def run_scenario(
                 cpu0 = time.thread_time_ns()
                 try:
                     sock = socket.create_connection(
-                        (cfg.host, port), timeout=hs.CONNECTION_TIMEOUT_S
+                        (LOOPBACK, port), timeout=hs.CONNECTION_TIMEOUT_S
                     )
                     with sock:
                         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

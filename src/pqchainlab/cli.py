@@ -73,6 +73,7 @@ def write_manifest(
     issuance: Optional[dict],
     **extra,
 ) -> None:
+    uname = platform.uname()  # platform.platform() would also run `uname -p` for the processor
     manifest = {
         "tool": "pqchainlab",
         "version": __version__,
@@ -83,7 +84,8 @@ def write_manifest(
         "scenario_ids": [s.display_id for s in scenarios],
         "created_unix": int(time.time()),
         "host": {
-            "platform": platform.platform(),
+            "platform": "-".join(filter(None, (uname.system, uname.release, uname.machine, "with",
+                                               "".join(platform.libc_ver())))),
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
         },
@@ -328,8 +330,8 @@ def cmd_reproduce(args) -> int:
 
     print("== analytics against the shipped reference table ==")
     fixture_rows = bench.read_master_summary(fixture_path())
-    analytics.run_all(fixture_rows, out_dir / "fixture_analysis", cfg)
-    ok = all([_check(*check) for check in claims.evaluate(claims.FIXTURE, fixture_rows)])
+    tables = analytics.run_all(fixture_rows, out_dir / "fixture_analysis", cfg)
+    ok = all([_check(*check) for check in claims.evaluate(claims.FIXTURE, fixture_rows, tables)])
     if args.fixture_only:
         return EXIT_OK if ok else EXIT_TRANSPORT
 

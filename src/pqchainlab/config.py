@@ -69,11 +69,14 @@ def load_config(path: Path | str | None) -> AnalysisConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key.startswith("service_class."):
-            classes[key.split(".", 1)[1]] = int(float(value))
-        elif key in scalars:
-            name = scalars[key]
-            updates[name] = type(getattr(cfg, name))(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+        try:
+            if key.startswith("service_class."):
+                classes[key.split(".", 1)[1]] = int(float(value))
+            elif key in scalars:
+                name = scalars[key]
+                updates[name] = type(getattr(cfg, name))(value)
+            else:
+                raise ValueError("unknown config key")
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
     return replace(cfg, service_classes=classes, **updates)

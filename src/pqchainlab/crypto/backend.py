@@ -2,25 +2,25 @@
 
 ML-DSA-65, ML-KEM-768 and X25519 ride on the ``cryptography`` package
 (C speed, seeded keygen).  SLH-DSA-SHAKE-192s uses the local pure-Python
-implementation.  Handshake-time signing is hedged and, like every
-verification, stays on these paths.
+implementation.  Handshake-time signing (:class:`Signer`) is hedged and,
+like every verification, stays on these paths.
 
 Certificate issuance (SLH-DSA key generation and deterministic signing)
-needs reproducible bytes and runs on one of two named backends:
+needs reproducible bytes.  :func:`issuer` picks, once per process, one
+of two issuers with the same ``slh_keygen`` and ``sign_deterministic``:
 
-* ``openssl``: OpenSSL 3.5's libcrypto through :mod:`.openssl`, loaded
-  from ``$PQCHAINLAB_LIBCRYPTO`` (default :data:`DEFAULT_LIBCRYPTO`);
-* ``python``: :mod:`.mldsa` (``cryptography``'s ML-DSA signer is hedged)
-  and the deterministic SLH-DSA variant of :mod:`.slhdsa`.
+* ``openssl``: OpenSSL 3.5's libcrypto (:class:`.openssl.Library`),
+  loaded from ``$PQCHAINLAB_LIBCRYPTO`` (default :data:`DEFAULT_LIBCRYPTO`);
+* ``python``: :class:`PythonIssuer`, over :mod:`.mldsa` (``cryptography``'s
+  ML-DSA signer is hedged) and the deterministic variant of :mod:`.slhdsa`.
 
-Both give the same bytes.  :func:`issuing_library` loads the library
-once per process, on the first issuance; issuance stays on ``python``
-when ``PQCHAINLAB_LIBCRYPTO`` is empty, when the library does not load
-or when it lacks either algorithm.  The library is never searched for.
+Both give the same bytes.  Issuance stays on ``python`` when
+``PQCHAINLAB_LIBCRYPTO`` is empty, when the library does not load or
+when it lacks either algorithm.  The library is never searched for.
 
 :mod:`~pqchainlab.crypto.mldsa`, and with it NumPy, is imported when
-:func:`issuing_library` resolves issuance to ``python``, so processes
-that never issue a certificate there do not load it.  Likewise
+:func:`issuer` resolves issuance to ``python``, so processes that never
+issue a certificate there do not load it.  Likewise
 :mod:`~pqchainlab.crypto.slhdsa` is imported on the first Python SLH-DSA
 operation.  Both are called through their module attributes.  Each
 ML-DSA issuer seed is expanded at most once per process: the expanded
@@ -107,27 +107,20 @@ class KeyPair:
 
 
 @functools.lru_cache(maxsize=None)
-def issuing_library():
-    """The :class:`.openssl.Library` that issues certificates, or None to issue in Python
-    (then with :mod:`.mldsa` loaded, for processes forked after the call to inherit)."""
+def issuer():
+    """This process's issuer: the library at ``$PQCHAINLAB_LIBCRYPTO`` if it loads, else Python."""
     path = os.environ.get(LIBCRYPTO_ENV, DEFAULT_LIBCRYPTO)
-    lib = None
     if path:
         from . import openssl
 
-        lib = openssl.load(path)
-    if lib is None:
-        from . import mldsa  # noqa: F401
-
-    return lib
+        return openssl.load(path) or PythonIssuer()
+    return PythonIssuer()
 
 
 def issuance_backend() -> dict:
     """Name, library path and OpenSSL version of the issuance backend, for manifests."""
-    lib = issuing_library()
-    if lib is None:
-        return {"name": "python", "library": None, "openssl_version": None}
-    return {"name": "openssl", "library": lib.path, "openssl_version": lib.version}
+    chosen = issuer()
+    return {"name": chosen.name, "library": chosen.path, "openssl_version": chosen.version}
 
 
 def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
@@ -141,13 +134,7 @@ def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
         if alg is SigFamily.ML_DSA_65:
             key = _pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes(seed)
             return KeyPair(alg, key.public_key().public_bytes_raw(), seed)
-        lib = issuing_library()
-        if lib is not None:
-            return KeyPair(alg, *lib.slh_keygen(seed))
-        from . import slhdsa
-
-        pk, key = slhdsa.keygen_from_seed(seed)
-        return KeyPair(alg, pk, key.to_bytes())
+        return KeyPair(alg, *issuer().slh_keygen(seed))
     except CryptoError:
         raise
     except Exception as exc:  # backend failure
@@ -170,13 +157,36 @@ def _expanded_mldsa_key(seed: bytes):
     return mldsa.keygen_from_seed(seed)[1]
 
 
+class PythonIssuer:
+    """The ``python`` issuer: the members of :class:`.openssl.Library` that issue, in Python."""
+
+    name, path, version = "python", None, None
+
+    def __init__(self):
+        from . import mldsa  # noqa: F401  imported before provisioning forks its workers
+
+    def slh_keygen(self, seed: bytes) -> tuple[bytes, bytes]:
+        from . import slhdsa
+
+        pk, key = slhdsa.keygen_from_seed(seed)
+        return pk, key.to_bytes()
+
+    def sign_deterministic(self, alg: str, secret: bytes, message: bytes) -> bytes:
+        if alg == SigFamily.ML_DSA_65.value:
+            from . import mldsa
+
+            return mldsa.sign_deterministic(_expanded_mldsa_key(secret), message)
+        from . import slhdsa
+
+        return slhdsa.sign(slhdsa.PrivateKey.from_bytes(secret), message)
+
+
 class Signer:
-    """Reusable signing handle; construction cost is paid once per key."""
+    """Reusable hedged signing handle for the handshake; construction cost is paid once per key."""
 
     def __init__(self, keypair: KeyPair):
         self.algorithm = keypair.algorithm
-        self.public_key = keypair.public_key
-        self._secret = keypair.secret_key
+        self._keypair = keypair
         if keypair.algorithm is SigFamily.ML_DSA_65:
             self._ml = _pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes(keypair.secret_key)
             self._slh = None
@@ -198,25 +208,18 @@ class Signer:
             raise CryptoError(f"signing failed: {exc}") from exc
 
     def sign_deterministic(self, message: bytes) -> bytes:
-        """Reproducible signature, used for certificate issuance."""
-        try:
-            lib = issuing_library()
-            if lib is not None:
-                return lib.sign_deterministic(self.algorithm.value, self._secret, message)
-            if self._slh is not None:
-                from . import slhdsa
-
-                return slhdsa.sign(self._slh, message)
-            from . import mldsa
-
-            return mldsa.sign_deterministic(_expanded_mldsa_key(self._secret), message)
-        except Exception as exc:
-            raise CryptoError(f"signing failed: {exc}") from exc
+        """Reproducible signature, as :func:`sign` makes it for certificate issuance."""
+        return sign(self._keypair, message, deterministic=True)
 
 
 def sign(keypair: KeyPair, message: bytes, deterministic: bool = False) -> bytes:
-    signer = Signer(keypair)
-    return signer.sign_deterministic(message) if deterministic else signer.sign(message)
+    """Hedged signature, or the issuer's deterministic one (which builds no :class:`Signer`)."""
+    if not deterministic:
+        return Signer(keypair).sign(message)
+    try:
+        return issuer().sign_deterministic(keypair.algorithm.value, keypair.secret_key, message)
+    except Exception as exc:
+        raise CryptoError(f"signing failed: {exc}") from exc
 
 
 def verify(alg: SigFamily, public_key: bytes, message: bytes, signature: bytes) -> bool:

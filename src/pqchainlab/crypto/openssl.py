@@ -3,10 +3,10 @@
 OpenSSL 3.5 implements ML-DSA-65 and SLH-DSA-SHAKE-192s with FIPS 204's
 and FIPS 205's deterministic signing variants and SLH-DSA key generation
 from a seed.  It gives the same bytes as :mod:`.mldsa` and :mod:`.slhdsa`,
-and signs SLH-DSA more than twice as fast.  :mod:`.backend` uses it only
-to issue certificates (key generation and deterministic signing); the
-handshake signs and verifies in Python and through ``cryptography``.
-:meth:`Library.verify` serves the oracle tests.
+and signs SLH-DSA more than twice as fast.  A :class:`Library` is the
+``openssl`` issuer of :func:`.backend.issuer`, with the same members as
+the ``python`` one; the handshake signs and verifies in Python and
+through ``cryptography``.  :meth:`Library.verify` serves the oracle tests.
 
 Algorithm names are OpenSSL's, which are the :class:`SigFamily` values.
 Keys are rebuilt for every call: an ML-DSA key from its 32-byte seed, an
@@ -81,6 +81,8 @@ _PROTOTYPES = {
 
 class Library:
     """One loaded libcrypto that provides both signature algorithms."""
+
+    name = "openssl"
 
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)

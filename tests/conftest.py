@@ -68,10 +68,10 @@ def libcrypto_env(monkeypatch):
 
     def set_path(path: str) -> None:
         monkeypatch.setenv(backend.LIBCRYPTO_ENV, path)
-        backend.issuing_library.cache_clear()
+        backend.issuer.cache_clear()
 
     yield set_path
-    backend.issuing_library.cache_clear()  # resolved again under the restored setting
+    backend.issuer.cache_clear()  # resolved again under the restored setting
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 
 import pytest
 
@@ -86,6 +87,7 @@ def test_provision_and_bench_small(tmp_path):
     assert manifest["seed_hex"] == "0abc"
     provisioned = json.loads((pki_dir / "manifest.json").read_text())
     assert manifest["issuance_backend"] == provisioned["issuance_backend"] == issuance_backend()
+    assert manifest["host"]["platform"] == provisioned["host"]["platform"] == platform.platform()
     assert 0.0 <= manifest["host_steal_share"] < 1.0
     assert manifest["thread_clock_tick_ms"] == bench.thread_clock_tick_ms()
     assert (manifest["runs"], manifest["runs_heavy"], manifest["warmup"]) == ([5], [], [1])
@@ -248,12 +250,14 @@ def test_analyze_missing_baseline(tmp_path):
 
 def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
     argv = ["analyze", "--fixture", "paper", "--out", str(tmp_path / "x")]
-    for text in ("bogus = 1\n", "price_per_cpu_hour = abc\n"):
+    for key, value in (("bogus", "1"), ("price_per_cpu_hour", "abc"),
+                       ("service_class.medium_api", "many")):
         config = tmp_path / "analysis.cfg"
-        config.write_text(text)
+        config.write_text(f"{key} = {value}\n")
         assert main([*argv, "--config", str(config)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert f"{key}: " in err, err
     assert main([*argv, "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
 
 

@@ -145,6 +145,24 @@ class TestMlDsa:
             assert backend.verify(SigFamily.ML_DSA_65, pair.public_key, msg, sig)
         assert calls == [ML_SEED]
 
+    def test_issuance_expands_no_hedged_signing_key(self, monkeypatch):
+        from pqchainlab import pki
+        from pqchainlab.scenario import enumerate_matrix, find_scenario
+
+        scenario = find_scenario(enumerate_matrix(), "x25519mlkem768__ml_root__ml_int__ml_leaf")
+        calls = []
+        original = pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes
+
+        def counting(seed):
+            calls.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(pyca_mldsa.MLDSA65PrivateKey, "from_seed_bytes", counting)
+        h = pki.build_hierarchy(scenario, b"one expansion per key")
+        # each key is expanded once, to derive its public key; signing a
+        # certificate goes to the issuer without a handshake Signer
+        assert sorted(calls) == sorted(key.secret_key for _, key in h.chain)
+
 
 @pytest.fixture(scope="module")
 def slh_material():
@@ -269,7 +287,7 @@ def test_openssl_provisioning_loads_neither_numpy_nor_mldsa(libcrypto, tmp_path)
         "assert cli.main(sys.argv[2:]) == 0\n"
         "print(*sorted(m for m in sys.argv[1].split(',') if m in sys.modules))\n"
     )
-    watched = "numpy,pqchainlab.crypto.mldsa,pqchainlab.crypto.openssl"
+    watched = "numpy,pqchainlab.crypto.mldsa,pqchainlab.crypto.openssl,subprocess"
     ids = ["x25519mlkem768__ml_root__ml_int__slh_leaf", "mlkem768__ml_root__ml_leaf"]
     argv = ["provision", "--jobs", "1", "--out", str(tmp_path), "--select", *ids]
     out = subprocess.run(

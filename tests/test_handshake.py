@@ -320,7 +320,7 @@ def test_handshake_and_validation_never_reach_openssl(
     def refuse(*args, **kwargs):
         raise AssertionError("the handshake reached crypto/openssl.py")
 
-    monkeypatch.setattr(backend, "issuing_library", refuse)
+    monkeypatch.setattr(backend, "issuer", refuse)
     for name in ("slh_keygen", "sign_deterministic", "verify"):
         monkeypatch.setattr(openssl.Library, name, refuse)
     for scenario, h in (ml_d3_hierarchy, slh_root_d2_hierarchy):
