@@ -103,7 +103,7 @@ def campaign_a_pairs(rows: Sequence[RunAggregate]) -> list[LeafPairRow]:
         if row.campaign != "A":
             continue
         kex, placement = parse_scenario_id(row.scenario_id)
-        pairs.setdefault(kex.tls_group_label, {})[placement.leaf] = row
+        pairs.setdefault(kex.value, {})[placement.leaf] = row
     out = []
     for group, members in sorted(pairs.items()):
         if len(members) != 2:

@@ -12,6 +12,7 @@ is in flight at any moment.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import signal
@@ -31,9 +32,9 @@ class ScenarioFailed(Exception):
 
 
 LOOPBACK = "127.0.0.1"  # every campaign's client and server share one host
-_tick_cache: Optional[float] = None
 
 
+@functools.cache
 def thread_clock_tick_ms() -> float:
     """Measured granularity of the thread CPU clock.
 
@@ -42,19 +43,16 @@ def thread_clock_tick_ms() -> float:
     are therefore quantized; means over a campaign remain unbiased.  The
     sample sanity check ``cpu <= elapsed * 1.05 + tick`` uses this value.
     """
-    global _tick_cache
-    if _tick_cache is None:
-        increments = set()
-        prev = time.thread_time_ns()
-        deadline = time.perf_counter_ns() + 30_000_000
-        while time.perf_counter_ns() < deadline and len(increments) < 4:
-            cur = time.thread_time_ns()
-            if cur != prev:
-                increments.add(cur - prev)
-                prev = cur
-        finest = min(increments) if increments else 0
-        _tick_cache = finest / 1e6 if finest >= 1_000_000 else 0.0
-    return _tick_cache
+    increments = set()
+    prev = time.thread_time_ns()
+    deadline = time.perf_counter_ns() + 30_000_000
+    while time.perf_counter_ns() < deadline and len(increments) < 4:
+        cur = time.thread_time_ns()
+        if cur != prev:
+            increments.add(cur - prev)
+            prev = cur
+    finest = min(increments) if increments else 0
+    return finest / 1e6 if finest >= 1_000_000 else 0.0
 
 
 def host_cpu_ticks() -> Optional[tuple[int, int]]:

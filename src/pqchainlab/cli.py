@@ -37,6 +37,9 @@ EXIT_CRYPTO = 2
 EXIT_TRANSPORT = 3
 EXIT_SCHEMA = 4
 
+DEFAULT_SEED = "706b692d6c6162"  # provisioning seed of `provision` and `reproduce`
+CAMPAIGNS = ["A", "B", "C", "D"]
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -372,14 +375,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-scenarios", help="write the experiment inventory")
     p.add_argument("--out", default="scenarios.json")
-    p.add_argument("--campaign", choices=["A", "B", "C", "D"])
+    p.add_argument("--campaign", choices=CAMPAIGNS)
     p.set_defaults(func=cmd_gen_scenarios)
 
     p = sub.add_parser("provision", help="generate keys and certificates")
     p.add_argument("--scenarios", help="scenarios.json (defaults to the built-in inventory)")
     p.add_argument("--select", nargs="*", default=[], help="scenario ids to provision")
-    p.add_argument("--campaign", choices=["A", "B", "C", "D"])
-    p.add_argument("--seed", default="706b692d6c6162", help="hex (or raw) provisioning seed")
+    p.add_argument("--campaign", choices=CAMPAIGNS)
+    p.add_argument("--seed", default=DEFAULT_SEED, help="hex (or raw) provisioning seed")
     p.add_argument("--out", default="pki")
     p.add_argument("--jobs", type=int, help="processes, this one included (default: cpu count)")
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW, help="issuance epoch seconds")
@@ -388,7 +391,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run measurement campaigns")
     p.add_argument("--scenarios")
     p.add_argument("--select", nargs="*", default=[])
-    p.add_argument("--campaign", choices=["A", "B", "C", "D"])
+    p.add_argument("--campaign", choices=CAMPAIGNS)
     p.add_argument("--pki", default="pki")
     p.add_argument("--out", default="results")
     p.add_argument("--runs", type=_parse_runs, help="N for every scenario, or FAST/HEAVY: HEAVY for SLH-leaf ones")
@@ -411,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fixture-only", action="store_true", help="skip the live bench stage")
     p.add_argument("--runs", type=_parse_runs, default="40/3", help="as bench's --runs (default 40/3)")
     p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--seed", default="706b692d6c6162")
+    p.add_argument("--seed", default=DEFAULT_SEED)
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW)
     p.set_defaults(func=cmd_reproduce, policy="mirror")
     return parser

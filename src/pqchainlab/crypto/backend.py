@@ -209,13 +209,11 @@ class Signer:
 
     def sign_deterministic(self, message: bytes) -> bytes:
         """Reproducible signature, as :func:`sign` makes it for certificate issuance."""
-        return sign(self._keypair, message, deterministic=True)
+        return sign(self._keypair, message)
 
 
-def sign(keypair: KeyPair, message: bytes, deterministic: bool = False) -> bytes:
-    """Hedged signature, or the issuer's deterministic one (which builds no :class:`Signer`)."""
-    if not deterministic:
-        return Signer(keypair).sign(message)
+def sign(keypair: KeyPair, message: bytes) -> bytes:
+    """The issuer's deterministic signature, for certificates; it builds no :class:`Signer`."""
     try:
         return issuer().sign_deterministic(keypair.algorithm.value, keypair.secret_key, message)
     except Exception as exc:
@@ -223,9 +221,11 @@ def sign(keypair: KeyPair, message: bytes, deterministic: bool = False) -> bytes
 
 
 def verify(alg: SigFamily, public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """Whether ``signature`` verifies; False for a key or signature of the wrong length."""
+    params = SIG_PARAMS[alg]
+    if (len(public_key), len(signature)) != (params.public_key_len, params.signature_len):
+        return False
     if alg is SigFamily.ML_DSA_65:
-        if len(signature) != MLDSA_SIGNATURE_BYTES:
-            return False
         try:
             _pyca_mldsa.MLDSA65PublicKey.from_public_bytes(public_key).verify(
                 signature, message

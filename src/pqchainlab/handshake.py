@@ -22,8 +22,9 @@ HMAC-SHA256 over the running transcript hash.
 
 The protocol lives in :func:`client_flow` and :func:`server_flow`, which
 do no I/O and own the transcript, the byte counts and every check on peer
-input, frame headers included.  :func:`client_handshake` and
-:func:`server_handshake` drive them over a socket; tests drive them
+input, frame headers and both Finished MACs included: each side raises a
+:class:`HandshakeError` for a bad peer message.  :func:`client_handshake`
+and :func:`server_handshake` drive them over a socket; tests drive them
 against each other in memory.
 """
 
@@ -99,8 +100,6 @@ class ChainRejected(HandshakeError):
 
 @dataclass
 class SessionSecrets:
-    classical_ss: Optional[bytes]
-    kem_ss: Optional[bytes]
     master_secret: bytes
     finished_key: bytes
 
@@ -118,7 +117,7 @@ def derive_secrets(
     material = _MS_LABEL + (classical_ss or b"") + (kem_ss or b"") + th_server_hello
     master = hashlib.sha256(material).digest()
     finished = hashlib.sha256(_FK_LABEL + master).digest()
-    return SessionSecrets(classical_ss, kem_ss, master, finished)
+    return SessionSecrets(master, finished)
 
 
 class Conn:
@@ -308,14 +307,8 @@ class ServerMaterial:
         return cls(kex=kex, chain=pki.served_chain(h, policy), leaf_signer=Signer(h.leaf[1]))
 
 
-@dataclass
-class ServerResult:
-    secrets: SessionSecrets
-    client_finished_ok: bool
-
-
 def server_flow(material: ServerMaterial) -> Flow:
-    """The server side as a flow; returns a ServerResult, raises HandshakeError."""
+    """The server side as a flow; returns its SessionSecrets, raises HandshakeError."""
     t = _Transcript()
     hello = t.recv((yield), MSG_CLIENT_HELLO)
     if len(hello) < 34:
@@ -341,11 +334,12 @@ def server_flow(material: ServerMaterial) -> Flow:
 
     th_sf = t.digest()
     cf = t.recv((yield), MSG_CLIENT_FINISHED)
-    ok = hmac.compare_digest(cf, _finished_mac(secrets, th_sf))
-    return ServerResult(secrets, ok)
+    if not hmac.compare_digest(cf, _finished_mac(secrets, th_sf)):
+        raise BadFinished("ClientFinished MAC mismatch")
+    return secrets
 
 
-def server_handshake(sock: socket.socket, material: ServerMaterial) -> ServerResult:
+def server_handshake(sock: socket.socket, material: ServerMaterial) -> SessionSecrets:
     """Serve one handshake on an accepted socket; raises HandshakeError."""
     return _drive(sock, server_flow(material))
 
@@ -363,10 +357,10 @@ def run_server(
     """Accept and serve up to ``max_connections`` handshakes strictly sequentially.
 
     After each connection a JSON line ``{"connection_index": i,
-    "server_cpu_ms": x}`` is written to ``control``.  Transport or protocol
-    failures, a ClientFinished that does not verify included, drop the
-    connection and continue with an ``{"connection_index": i, "error":
-    reason}`` record.
+    "server_cpu_ms": x}`` is written to ``control``.  A transport failure or
+    a :class:`HandshakeError` from :func:`server_flow` (a ClientFinished
+    that does not verify included) drops the connection and continues with
+    an ``{"connection_index": i, "error": reason}`` record.
     The loop ends after ``max_connections``, when the listener closes or
     when ``control`` can no longer be written.  Returns the number of
     completed handshakes.
@@ -384,9 +378,7 @@ def run_server(
                 sock.settimeout(CONNECTION_TIMEOUT_S)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 cpu0 = time.thread_time_ns()
-                result = server_handshake(sock, material)
-                if not result.client_finished_ok:
-                    raise BadFinished("ClientFinished MAC mismatch")
+                server_handshake(sock, material)
                 cpu_ms = (time.thread_time_ns() - cpu0) / 1e6
                 record = {"connection_index": index, "server_cpu_ms": cpu_ms}
                 completed += 1

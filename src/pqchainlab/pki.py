@@ -178,7 +178,7 @@ def issue_certificate(
         not_after=now + VALIDITY_LIFETIME,
         is_ca=is_ca,
     )
-    signature = backend.sign(issuer_key, _tbs_digest(tbs), deterministic=True)
+    signature = backend.sign(issuer_key, _tbs_digest(tbs))
     return decode_certificate(encode_certificate(tbs, signature))
 
 
@@ -200,17 +200,8 @@ class HierarchyMaterial:
         return self.chain[0]
 
     @property
-    def intermediate(self) -> Optional[tuple[CertificateRecord, KeyPair]]:
-        """The position between root and leaf; None at depth 2."""
-        return next(iter(self.chain[1:-1]), None)
-
-    @property
     def leaf(self) -> tuple[CertificateRecord, KeyPair]:
         return self.chain[-1]
-
-    @property
-    def trust_store(self) -> list[CertificateRecord]:
-        return [self.root[0]]
 
     @property
     def depth(self) -> int:

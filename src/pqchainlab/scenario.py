@@ -57,10 +57,6 @@ class KexMode(enum.Enum):
     HYBRID = "x25519mlkem768"
     PURE_PQC = "mlkem768"
 
-    @property
-    def tls_group_label(self) -> str:
-        return self.value
-
 
 # Hierarchy position names, root first, and the serial of each one's
 # certificate; a depth-2 hierarchy has no ``int``, and its leaf keeps serial 3.
@@ -126,7 +122,7 @@ def conceptual_perf_group(p: Placement) -> str:
 def compose_scenario_id(kex: KexMode, placement: Placement) -> str:
     """Canonical positional id: ``<group>__<f>_root[__<f>_int]__<f>_leaf``."""
     parts = [f"{family.token}_{name}" for name, family in placement.positions()]
-    return "__".join([kex.tls_group_label, *parts])
+    return "__".join([kex.value, *parts])
 
 
 _LEGACY_LEAF_TOKENS = {
@@ -170,7 +166,7 @@ def legacy_alias(kex: KexMode, placement: Placement) -> Optional[str]:
     suffix = (
         "leaf_mldsa65" if placement.leaf is SigFamily.ML_DSA_65 else "leaf_slhdsashake192s"
     )
-    return f"{kex.tls_group_label}__{suffix}"
+    return f"{kex.value}__{suffix}"
 
 
 RUNS_FAST = 10000
@@ -219,7 +215,7 @@ class Scenario:
 
 
 def _scenario(kex: KexMode, spec: str, campaign: str, use_alias: bool = False) -> Scenario:
-    _, placement = parse_scenario_id(f"{kex.tls_group_label}__{spec}")
+    _, placement = parse_scenario_id(f"{kex.value}__{spec}")
     return Scenario(
         scenario_id=compose_scenario_id(kex, placement),
         kex=kex,
@@ -294,7 +290,7 @@ def write_scenarios(scenarios: list[Scenario], path: Path | str) -> None:
             "scenario_id": s.display_id,
             "canonical_id": s.scenario_id,
             "kex_mode": s.kex.name.lower(),
-            "tls_group": s.kex.tls_group_label,
+            "tls_group": s.kex.value,
             "depth": s.depth,
             "root_family": s.placement.root.value,
             "intermediate_family": (

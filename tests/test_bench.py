@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import os
 import socket
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from pqchainlab.bench import (
     write_rows,
     write_samples,
 )
+from pqchainlab.crypto import backend, mldsa, slhdsa
 from pqchainlab.scenario import find_scenario
 
 
@@ -187,3 +190,19 @@ def test_cpu_sanity_against_clock_tick(mini_run):
     for sample in samples:
         assert sample.client_cpu_ms <= sample.elapsed_ms * 1.05 + tick
         assert sample.client_cpu_ms >= 0 and sample.server_cpu_ms >= 0
+
+
+def test_tracer_targets_are_attributes_of_their_owners():
+    """Every name perfbench's tracer wraps is where ``Tracer.install`` looks it
+    up: in its module's or class's own ``__dict__``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"slhdsa": slhdsa, "mldsa": mldsa, "backend": backend, "pki": pki, "handshake": hs}
+    missing = []
+    for module_key, cls, attr, _, _ in tracing.TARGETS:
+        owner = modules[module_key] if cls is None else vars(modules[module_key])[cls]
+        if attr not in vars(owner):
+            missing.append(tracing.span_name(module_key, cls, attr))
+    assert not missing, missing

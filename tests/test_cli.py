@@ -63,8 +63,9 @@ def test_provision_and_bench_small(tmp_path):
     assert main(["provision", "--select", *ids, "--out", str(pki_dir), "--seed", "0abc"]) == EXIT_OK
     for sid in ids:
         hierarchy = pki.load_hierarchy(pki_dir / sid)
-        chain = pki.served_chain(hierarchy, pki.ServedChainPolicy.FULL_CHAIN)
-        pki.validate_chain(chain, hierarchy.trust_store, pki.DEFAULT_NOW)
+        policy = pki.ServedChainPolicy.FULL_CHAIN
+        chain = pki.served_chain(hierarchy, policy)
+        pki.validate_chain(chain, pki.client_trust_store(hierarchy, policy), pki.DEFAULT_NOW)
     assert (pki_dir / "manifest.json").exists()
     assert not (pki_dir / ids[1] / "int.cert").exists()
 

@@ -45,7 +45,7 @@ class TestMlDsa:
         assert mldsa.SIGNATURE_BYTES == 3309
         pair = backend.generate_keypair(SigFamily.ML_DSA_65, ML_SEED)
         assert len(pair.public_key) == 1952
-        sig = backend.sign(pair, b"msg")
+        sig = backend.Signer(pair).sign(b"msg")
         assert len(sig) == 3309
 
     def test_keygen_matches_c_backend(self):
@@ -66,9 +66,11 @@ class TestMlDsa:
         a = backend.generate_keypair(SigFamily.ML_DSA_65, ML_SEED)
         b = backend.generate_keypair(SigFamily.ML_DSA_65, ML_SEED)
         assert a.public_key == b.public_key and a.secret_key == b.secret_key
-        sig = backend.sign(a, b"hello", deterministic=True)
+        sig = backend.sign(a, b"hello")
         assert backend.verify(SigFamily.ML_DSA_65, a.public_key, b"hello", sig)
         assert not backend.verify(SigFamily.ML_DSA_65, a.public_key, b"other", sig)
+        # a key of the wrong length is a failed verification, not an error
+        assert backend.verify(SigFamily.ML_DSA_65, a.public_key[:-1], b"hello", sig) is False
 
     def test_hedged_signatures_differ_but_verify(self):
         pair = backend.generate_keypair(SigFamily.ML_DSA_65, ML_SEED)
@@ -114,7 +116,7 @@ class TestMlDsa:
             "from pqchainlab.scenario import SigFamily\n"
             "print('numpy' in sys.modules)\n"
             "kp = backend.generate_keypair(SigFamily.ML_DSA_65, bytes(32))\n"
-            "backend.sign(kp, b'm', deterministic=True)\n"
+            "backend.sign(kp, b'm')\n"
             "print('numpy' in sys.modules)\n"
         )
         out = subprocess.run(
@@ -141,7 +143,7 @@ class TestMlDsa:
         backend._expanded_mldsa_key.cache_clear()
         pair = backend.generate_keypair(SigFamily.ML_DSA_65, ML_SEED)
         for msg in (b"first", b"second"):
-            sig = backend.sign(pair, msg, deterministic=True)
+            sig = backend.sign(pair, msg)
             assert backend.verify(SigFamily.ML_DSA_65, pair.public_key, msg, sig)
         assert calls == [ML_SEED]
 
@@ -207,6 +209,9 @@ class TestSlhDsa:
         assert backend.verify(
             SigFamily.SLH_DSA_SHAKE_192S, pair.public_key, slh_material[2], slh_material[3]
         )
+        # a key of the wrong length is a failed verification, not an error
+        _pk, _key, msg, sig = slh_material
+        assert backend.verify(SLH, pair.public_key[:-1], msg, sig) is False
 
 
 class TestOpenSslOracle:
@@ -256,7 +261,7 @@ class TestOpenSslOracle:
             assert backend.issuance_backend()["name"] == ("openssl" if path else "python")
             slh = backend.generate_keypair(SLH, seed)
             ml = backend.generate_keypair(ML, ML_SEED)
-            issued.append((slh, backend.sign(ml, slh.public_key, deterministic=True)))
+            issued.append((slh, backend.sign(ml, slh.public_key)))
         assert issued[0] == issued[1]
 
     def test_load_refuses_what_is_not_an_openssl_35_libcrypto(self, tmp_path):

@@ -36,9 +36,8 @@ def _join(*threads):
 def test_roundtrip_all_kex_modes(ml_d3_hierarchy, kex):
     _, h = ml_d3_hierarchy
     client, server, _ = run_handshake(h, kex)
-    assert client.secrets.master_secret == server.secrets.master_secret
-    assert client.secrets.finished_key == server.secrets.finished_key
-    assert server.client_finished_ok
+    assert client.secrets.master_secret == server.master_secret
+    assert client.secrets.finished_key == server.finished_key
     assert client.observation.chain_len_unique == 2
 
 
@@ -149,6 +148,28 @@ def test_tamper_server_hello_breaks_transcript(ml_d3_hierarchy):
         run_handshake(h, KexMode.HYBRID, tamper=tamper)
 
 
+def test_short_ca_key_is_a_chain_rejection(ml_d3_hierarchy):
+    """A served intermediate whose ML-DSA key is one byte short, every length
+    prefix consistent: the leaf's signature fails to verify under it."""
+    _, h = ml_d3_hierarchy
+
+    def tamper(msg_type, body):
+        if msg_type != hs.MSG_CERTIFICATE:
+            return body
+        leaf, inter = hs.decode_certificate_msg(body)
+        fields = {name: getattr(inter, name) for name, _ in pki.TBS_FIELDS}
+        tbs = pki.encode_tbs(**{**fields, "public_key": inter.public_key[:-1]})
+        short = pki.decode_certificate(pki.encode_certificate(tbs, inter.signature))
+        return hs.encode_certificate_msg([leaf, short])
+
+    with pytest.raises(hs.ChainRejected) as err:
+        run_handshake(h, KexMode.HYBRID, tamper=tamper)
+    assert (err.value.path_error.kind, err.value.path_error.position) == (
+        pki.PathErrorKind.BAD_SIGNATURE,
+        0,
+    )
+
+
 def test_unknown_anchor_rejected(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     with pytest.raises(hs.ChainRejected) as err:
@@ -159,8 +180,9 @@ def test_unknown_anchor_rejected(ml_d3_hierarchy):
 def test_unsupported_group(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     material = hs.ServerMaterial.from_hierarchy(h, KexMode.CLASSICAL, ServedChainPolicy.MIRROR)
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     with pytest.raises(hs.UnsupportedGroup):
-        pump(hs.client_flow(KexMode.HYBRID, h.trust_store), hs.server_flow(material))
+        pump(hs.client_flow(KexMode.HYBRID, trust), hs.server_flow(material))
 
 
 def _client_hello(share):
@@ -199,6 +221,7 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
     ctrl_reader, ctrl_writer = socket.socketpair()
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     records = []
 
     def reader():
@@ -213,10 +236,10 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
         sock = socket.create_connection(("127.0.0.1", port), timeout=JOIN_TIMEOUT_S)
         with sock:
             if step == "ok":
-                result = hs.client_handshake(sock, KexMode.HYBRID, h.trust_store)
+                result = hs.client_handshake(sock, KexMode.HYBRID, trust)
                 assert result.observation.chain_len_unique == 2
             elif step == "bad ClientFinished":
-                flow = hs.client_flow(KexMode.HYBRID, h.trust_store)
+                flow = hs.client_flow(KexMode.HYBRID, trust)
                 hs._drive(sock, _client_finished_zeroed(flow))
             else:
                 sock.sendall(hostile[step])
@@ -243,14 +266,14 @@ def test_run_server_sequential_and_fault_tolerant(ml_d3_hierarchy, monkeypatch):
 
 def test_tampering_client_failure_is_client_side(ml_d3_hierarchy):
     """A client that sends a bad ClientFinished: the server has already sent
-    everything and simply records the mismatch."""
+    everything, and its flow rejects the MAC."""
     _, h = ml_d3_hierarchy
 
     def tamper(msg_type, body):
         return bytes(32) if msg_type == hs.MSG_CLIENT_FINISHED else body  # wrong MAC
 
-    _, server, _ = run_handshake(h, KexMode.HYBRID, tamper=tamper)
-    assert server.client_finished_ok is False
+    with pytest.raises(hs.BadFinished, match="^ClientFinished MAC mismatch$"):
+        run_handshake(h, KexMode.HYBRID, tamper=tamper)
 
 
 # --- exhaustive single-bit mutations through the pump ----------------------
@@ -326,8 +349,7 @@ def test_handshake_and_validation_never_reach_openssl(
     for scenario, h in (ml_d3_hierarchy, slh_root_d2_hierarchy):
         for policy in ServedChainPolicy:
             client, server, _ = run_handshake(h, scenario.kex, policy)
-            assert client.secrets.master_secret == server.secrets.master_secret
-            assert server.client_finished_ok
+            assert client.secrets.master_secret == server.master_secret
     # An SLH-DSA leaf signs CertificateVerify hedged, through slhdsa.sign.
     opt_rands = []
 

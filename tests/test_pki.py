@@ -113,7 +113,7 @@ def test_tampered_tbs_fails_verification(ml_d3_hierarchy):
     tbs[5] ^= 0x01  # inside the serial field: decodes fine, breaks the signature
     tampered = decode_certificate(encode_certificate(bytes(tbs), leaf.signature))
     assert tampered.serial != leaf.serial
-    assert not verify_certificate(tampered, h.intermediate[0].public_key)
+    assert not verify_certificate(tampered, h.chain[1][0].public_key)
 
 
 def test_self_issued_non_ca_certificate_verifies():
@@ -132,7 +132,7 @@ def test_self_issued_non_ca_certificate_verifies():
 
 def test_hierarchy_positional_assignment(slh_root_d3_hierarchy):
     _, h = slh_root_d3_hierarchy
-    root, intermediate, leaf = h.root[0], h.intermediate[0], h.leaf[0]
+    root, intermediate, leaf = h.certificates()
     # SLH root: self-signed with the 16224-byte signature
     assert root.signature_family is SigFamily.SLH_DSA_SHAKE_192S
     assert len(root.signature) == 16224
@@ -144,8 +144,7 @@ def test_hierarchy_positional_assignment(slh_root_d3_hierarchy):
 
 def test_depth2_has_no_intermediate(ml_d2_hierarchy):
     _, h = ml_d2_hierarchy
-    assert h.intermediate is None
-    assert len(h.certificates()) == 2
+    assert [c.subject.split(":")[1] for c in h.certificates()] == ["root", "leaf"]
 
 
 def test_served_chain_policies(ml_d3_hierarchy, ml_d2_hierarchy):
@@ -181,25 +180,27 @@ def test_validate_mirror_and_full(ml_d3_hierarchy):
 def test_validate_errors(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     chain = served_chain(h, ServedChainPolicy.MIRROR)
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     with pytest.raises(PathError) as err:
         validate_chain(chain, [], DEFAULT_NOW)
     assert err.value.kind is PathErrorKind.UNKNOWN_ANCHOR
     with pytest.raises(PathError) as err:
-        validate_chain(chain, h.trust_store, DEFAULT_NOW + 10**9)
+        validate_chain(chain, trust, DEFAULT_NOW + 10**9)
     assert err.value.kind is PathErrorKind.EXPIRED
     with pytest.raises(PathError) as err:
-        validate_chain(chain, h.trust_store, 0)
+        validate_chain(chain, trust, 0)
     assert err.value.kind is PathErrorKind.NOT_YET_VALID
     with pytest.raises(ValueError):
-        validate_chain([], h.trust_store, DEFAULT_NOW)
+        validate_chain([], trust, DEFAULT_NOW)
 
 
 def test_validate_not_ca(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     # serve [leaf, leaf-copy]: position 1 is not a CA
     leaf = h.leaf[0]
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     with pytest.raises(PathError) as err:
-        validate_chain([leaf, leaf], h.trust_store, DEFAULT_NOW)
+        validate_chain([leaf, leaf], trust, DEFAULT_NOW)
     assert err.value.kind is PathErrorKind.NOT_CA
 
 
@@ -218,24 +219,26 @@ def _reissued(cert, key, issuer_name, issuer_key, now=DEFAULT_NOW, is_ca=None):
 
 def test_validate_issuer_mismatch(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
-    (leaf, leaf_key), (inter, inter_key) = h.leaf, h.intermediate
+    (leaf, leaf_key), (inter, inter_key) = h.leaf, h.chain[1]
     wrong = _reissued(leaf, leaf_key, h.root[0].subject, inter_key)
     assert verify_certificate(wrong, inter.public_key)  # only the name is wrong
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     with pytest.raises(PathError) as err:
-        validate_chain([wrong, inter], h.trust_store, DEFAULT_NOW)
+        validate_chain([wrong, inter], trust, DEFAULT_NOW)
     assert (err.value.kind, err.value.position) == (PathErrorKind.ISSUER_MISMATCH, 0)
 
 
 def test_validate_algorithm_mismatch_before_signature(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
-    (leaf, _), (inter, inter_key) = h.leaf, h.intermediate
+    (leaf, _), (inter, inter_key) = h.leaf, h.chain[1]
     # the leaf claims an SLH-DSA signature from its ML-DSA issuer
     fields = {name: getattr(leaf, name) for name, _ in pki.TBS_FIELDS}
     tbs = encode_tbs(**{**fields, "sig_alg_id": SigFamily.SLH_DSA_SHAKE_192S.alg_id})
-    signature = backend.sign(inter_key, hashlib.sha256(tbs).digest(), deterministic=True)
+    signature = backend.sign(inter_key, hashlib.sha256(tbs).digest())
     claimed = decode_certificate(encode_certificate(tbs, signature))
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     with pytest.raises(PathError) as err:
-        validate_chain([claimed, inter], h.trust_store, DEFAULT_NOW)
+        validate_chain([claimed, inter], trust, DEFAULT_NOW)
     assert (err.value.kind, err.value.position) == (PathErrorKind.ALGORITHM_MISMATCH, 0)
 
 
@@ -258,6 +261,7 @@ def test_validate_anchor_is_ca_inside_its_window(ml_d3_hierarchy):
 def test_single_byte_corruption_always_rejected(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     chain = served_chain(h, ServedChainPolicy.MIRROR)
+    trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     rng = random.Random(1234)
     for cert_index in range(len(chain)):
         for _ in range(12):
@@ -270,7 +274,7 @@ def test_single_byte_corruption_always_rejected(ml_d3_hierarchy):
             served = list(chain)
             served[cert_index] = bad
             with pytest.raises(PathError):
-                validate_chain(served, h.trust_store, DEFAULT_NOW)
+                validate_chain(served, trust, DEFAULT_NOW)
 
 
 @pytest.mark.slow
