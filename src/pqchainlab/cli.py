@@ -1,4 +1,4 @@
-"""Command-line surface: provision PKI, run campaigns, analyze, report.
+"""Command-line surface: provision PKI, run campaigns, analyze them.
 
 Exit codes: 0 success, 1 usage error, 2 crypto failure or a corrupt
 certificate or key file, 3 transport or benchmark failure, 4 input schema
@@ -245,31 +245,25 @@ def _emit_plots(rows, results, out_dir: Path) -> None:
     )
 
 
-def _analysis_input(args) -> Path:
-    if args.fixture:  # argparse admits only "paper"
-        return fixture_path()
-    if not args.input:
-        print("error: provide --input CSV or --fixture paper", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return Path(args.input)
+def cmd_analyze(args) -> int:
+    """Run every table and plot over the input rows into ``--out``, with ``summary.txt``.
 
-
-def _analysis(args):
-    """Load the input rows, run every table and plot into ``--out``; return (rows, results).
-
-    ``--baseline`` overrides the configured baseline.  A ``--config`` file
-    that does not load and a baseline absent from the rows are usage
-    errors: each is reported and None returned.
+    ``--baseline`` overrides the configured baseline.  A missing input, a
+    ``--config`` file that does not load and a baseline absent from the
+    rows are usage errors.
     """
     from . import analytics
     from .config import AnalysisConfig, load_config
 
-    rows = bench.read_master_summary(_analysis_input(args))
+    if not (args.fixture or args.input):  # argparse admits only "paper" for --fixture
+        print("error: provide --input CSV or --fixture paper", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    rows = bench.read_master_summary(fixture_path() if args.fixture else Path(args.input))
     try:
         cfg = load_config(args.config)
     except (ValueError, OSError) as exc:
         print(f"error: --config {args.config}: {exc}", file=sys.stderr)
-        return None
+        return EXIT_USAGE
     if args.baseline:
         cfg = AnalysisConfig(**{**cfg.__dict__, "baseline_id": args.baseline})
     try:
@@ -280,29 +274,11 @@ def _analysis(args):
             "pass --baseline with a scenario present in the results",
             file=sys.stderr,
         )
-        return None
+        return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = analytics.run_all(rows, out_dir, cfg, warn=lambda m: print(f"warning: {m}"))
     _emit_plots(rows, results, out_dir)
-    return rows, results
-
-
-def cmd_analyze(args) -> int:
-    analysis = _analysis(args)
-    if analysis is None:
-        return EXIT_USAGE
-    _, results = analysis
-    print(f"wrote {len(results)} report tables and 3 plots to {Path(args.out)}")
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    analysis = _analysis(args)
-    if analysis is None:
-        return EXIT_USAGE
-    rows, results = analysis
-    out_dir = Path(args.out)
     lines = ["handshake latency and placement report", "=" * 40, ""]
     for row in sorted(rows, key=lambda r: r.mean_ms):
         lines.append(
@@ -314,7 +290,7 @@ def cmd_report(args) -> int:
             f"rank {p.plausibility_rank}  {p.scenario_id:55s} {p.operational_plausibility}"
         )
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
-    print(f"wrote report to {out_dir}")
+    print(f"wrote {len(results)} report tables, 3 plots and summary.txt to {out_dir}")
     return EXIT_OK
 
 
@@ -400,14 +376,13 @@ def build_parser() -> _Parser:
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW)
     p.set_defaults(func=cmd_bench)
 
-    for name, func in (("analyze", cmd_analyze), ("report", cmd_report)):
-        p = sub.add_parser(name, help=f"{name} results or the shipped reference table")
-        p.add_argument("--input", help="master_summary.csv from a bench run")
-        p.add_argument("--fixture", choices=["paper"], help="use the shipped reference table")
-        p.add_argument("--out", default="analysis" if name == "analyze" else "report")
-        p.add_argument("--config", help="key=value analysis config file")
-        p.add_argument("--baseline", help="baseline scenario id override")
-        p.set_defaults(func=func)
+    p = sub.add_parser("analyze", help="analyze results or the shipped reference table")
+    p.add_argument("--input", help="master_summary.csv from a bench run")
+    p.add_argument("--fixture", choices=["paper"], help="use the shipped reference table")
+    p.add_argument("--out", default="analysis")
+    p.add_argument("--config", help="key=value analysis config file")
+    p.add_argument("--baseline", help="baseline scenario id override")
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reproduce", help="end-to-end desk-scale pipeline with PASS/FAIL gates")
     p.add_argument("--out", default="reproduce")

@@ -60,7 +60,7 @@ _U32 = struct.Struct(">I")
 
 
 class CodecError(ValueError):
-    """Certificate bytes do not parse, are not canonical or name an unknown algorithm."""
+    """Certificate bytes do not parse, are not canonical or name an unknown version or algorithm."""
 
 
 def read_prefixed(data: bytes, offset: int) -> tuple[bytes, int]:
@@ -146,6 +146,8 @@ def decode_certificate(data: bytes) -> CertificateRecord:
         raise CodecError(f"malformed certificate: {exc}") from exc
     if offset != len(tbs):
         raise CodecError("trailing tbs bytes")
+    if fields["version"] != _TBS_VERSION:
+        raise CodecError(f"unknown certificate version {fields['version']}")
     if {fields["sig_alg_id"], fields["pk_alg_id"]} - _ALG_IDS:
         raise CodecError(f"unknown algorithm id in ({fields['sig_alg_id']}, {fields['pk_alg_id']})")
     return CertificateRecord(**fields, signature=signature, encoded=data)
@@ -194,10 +196,6 @@ class HierarchyMaterial:
 
     scenario_id: str
     chain: tuple[tuple[CertificateRecord, KeyPair], ...]
-
-    @property
-    def root(self) -> tuple[CertificateRecord, KeyPair]:
-        return self.chain[0]
 
     @property
     def leaf(self) -> tuple[CertificateRecord, KeyPair]:

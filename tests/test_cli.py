@@ -41,6 +41,11 @@ def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen-scenarios", "--campaign", "Z"])
     assert err.value.code == EXIT_USAGE
+    # `analyze` writes summary.txt; there is no `report` command
+    with pytest.raises(SystemExit) as err:
+        main(["report", "--fixture", "paper"])
+    assert err.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage: pqchainlab ")
     # a campaign that selects nothing from a scenarios file is reported
     only_b = tmp_path / "b.json"
     assert main(["gen-scenarios", "--out", str(only_b), "--campaign", "B"]) == EXIT_OK
@@ -231,8 +236,8 @@ def test_analyze_partial_input_with_explicit_baseline(tmp_path, fixture_rows):
 def test_report_honours_baseline(tmp_path):
     other = "x25519mlkem768__slh_root__ml_int__ml_leaf"
     out = {name: tmp_path / name for name in ("default", "other")}
-    assert main(["report", "--fixture", "paper", "--out", str(out["default"])]) == EXIT_OK
-    argv = ["report", "--fixture", "paper", "--out", str(out["other"]), "--baseline", other]
+    assert main(["analyze", "--fixture", "paper", "--out", str(out["default"])]) == EXIT_OK
+    argv = ["analyze", "--fixture", "paper", "--out", str(out["other"]), "--baseline", other]
     assert main(argv) == EXIT_OK
     for name in ("strategy_matrix.csv", "capacity.csv", "summary.txt"):
         assert (out["default"] / name).read_text() != (out["other"] / name).read_text()
@@ -276,7 +281,7 @@ def test_analyze_requires_input(tmp_path):
 
 def test_report_writes_summary(tmp_path):
     out = tmp_path / "report"
-    assert main(["report", "--fixture", "paper", "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", "--fixture", "paper", "--out", str(out)]) == EXIT_OK
     text = (out / "summary.txt").read_text()
     assert "x25519mlkem768__ml_root__ml_int__ml_leaf" in text
     assert "rank 4" in text
@@ -335,8 +340,9 @@ def _mismatched_key(blob):
         ("leaf.cert", lambda blob: blob[:100]),
         ("leaf.key", lambda blob: blob[:1]),
         ("leaf.key", lambda blob: (3).to_bytes(2, "big") + blob[2:]),  # unknown algorithm id
+        ("leaf.cert", lambda blob: blob[:4] + b"\x02" + blob[5:]),  # version byte after the TBS length
     ],
-    ids=["mismatched_key", "cut_certificate", "one_byte_key", "unknown_key_algorithm"],
+    ids=["mismatched_key", "cut_certificate", "one_byte_key", "unknown_key_algorithm", "version_2_certificate"],
 )
 def test_crypto_error_exit_code(tmp_path, capsys, name, corrupt):
     sid = "x25519mlkem768__ml_root__ml_leaf"

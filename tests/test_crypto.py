@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -251,6 +252,23 @@ class TestOpenSslOracle:
             bad = _flip(sig, offset)
             assert not libcrypto.verify(SLH.value, pk, msg, bad)
             assert not slhdsa.verify(pk, msg, bad)
+
+    @pytest.mark.slow
+    def test_slh_hedged_signature_identical_and_verified(self, libcrypto, slh_material):
+        """OpenSSL's ``test-entropy`` parameter fixes the randomness a hedged signature draws."""
+        pk, key, msg, _sig = slh_material
+        lib, secret = libcrypto._lib, key.to_bytes()
+        for opt_rand in (b"\x07" * 24, bytes(range(24))):
+            entropy = ctypes.create_string_buffer(opt_rand, len(opt_rand))
+            params = openssl._params(b"test-entropy", openssl._OSSL_PARAM_OCTET_STRING, entropy)
+            evp_key = lib.EVP_PKEY_new_raw_private_key_ex(None, SLH.value.encode(), None, secret, len(secret))
+            theirs = libcrypto._with_context(
+                SLH.value, evp_key, lib.EVP_PKEY_sign_message_init, params,
+                lambda ctx: libcrypto._out(lib.EVP_PKEY_sign, slhdsa.SIGNATURE_BYTES, ctx, msg, len(msg)),
+            )
+            assert theirs == slhdsa.sign(key, msg, opt_rand=opt_rand)
+        hedged = backend.Signer(backend.generate_keypair(SLH, SLH_SEED)).sign(msg)
+        assert libcrypto.verify(SLH.value, pk, msg, hedged)
 
     def test_backends_issue_the_same_bytes(self, libcrypto, libcrypto_env):
         """The facade under both backends: SLH-DSA keygen and deterministic ML-DSA signing."""

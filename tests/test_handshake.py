@@ -170,6 +170,21 @@ def test_short_ca_key_is_a_chain_rejection(ml_d3_hierarchy):
     )
 
 
+def test_served_version_2_leaf_is_malformed(ml_d3_hierarchy):
+    """A leaf with version 2, validly signed again by its true parent and
+    served by the server itself: the client refuses to decode it."""
+    _, h = ml_d3_hierarchy
+    (leaf, leaf_key), (_, inter_key) = h.leaf, h.chain[1]
+    fields = {**{name: getattr(leaf, name) for name, _ in pki.TBS_FIELDS}, "version": 2}
+    tbs = pki.encode_tbs(**fields)
+    signature = backend.sign(inter_key, hashlib.sha256(tbs).digest())
+    v2 = pki.CertificateRecord(**fields, signature=signature,
+                               encoded=pki.encode_certificate(tbs, signature))
+    served = pki.HierarchyMaterial(h.scenario_id, (*h.chain[:-1], (v2, leaf_key)))
+    with pytest.raises(hs.Malformed, match="unknown certificate version 2"):
+        run_handshake(served, KexMode.HYBRID)
+
+
 def test_unknown_anchor_rejected(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     with pytest.raises(hs.ChainRejected) as err:
@@ -358,5 +373,5 @@ def test_handshake_and_validation_never_reach_openssl(
         return bytes(slhdsa.SIGNATURE_BYTES)
 
     monkeypatch.setattr(slhdsa, "sign", record)
-    backend.Signer(slh_root_d2_hierarchy[1].root[1]).sign(b"transcript hash")
+    backend.Signer(slh_root_d2_hierarchy[1].chain[0][1]).sign(b"transcript hash")
     assert len(opt_rands) == 1 and len(opt_rands[0]) == slhdsa.N

@@ -95,7 +95,7 @@ def test_codec_rejects_trailing_bytes(ml_d3_hierarchy):
 
 def test_self_signed_root_verifies(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
-    root = h.root[0]
+    root = h.chain[0][0]
     assert root.subject == root.issuer
     assert verify_certificate(root, root.public_key)
 
@@ -220,7 +220,7 @@ def _reissued(cert, key, issuer_name, issuer_key, now=DEFAULT_NOW, is_ca=None):
 def test_validate_issuer_mismatch(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     (leaf, leaf_key), (inter, inter_key) = h.leaf, h.chain[1]
-    wrong = _reissued(leaf, leaf_key, h.root[0].subject, inter_key)
+    wrong = _reissued(leaf, leaf_key, h.chain[0][0].subject, inter_key)
     assert verify_certificate(wrong, inter.public_key)  # only the name is wrong
     trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     with pytest.raises(PathError) as err:
@@ -245,7 +245,7 @@ def test_validate_algorithm_mismatch_before_signature(ml_d3_hierarchy):
 def test_validate_anchor_is_ca_inside_its_window(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     chain = served_chain(h, ServedChainPolicy.MIRROR)  # [leaf, int]: the root is not served
-    root, root_key = h.root
+    root, root_key = h.chain[0]
     shift = 2 * pki.VALIDITY_LIFETIME
     for anchor in (
         _reissued(root, root_key, root.subject, root_key, is_ca=False),
@@ -370,7 +370,7 @@ def test_encoding_size_close_to_x509_der(request, tmp_path, hierarchy):
     if exe is None:
         pytest.skip("no OpenSSL 3.5 or later on PATH")
     _, h = request.getfixturevalue(hierarchy)
-    root = h.root[0]
+    root = h.chain[0][0]
     der = tmp_path / "root.der"
     argv = [exe, "req", "-x509", "-config", "/dev/null", "-newkey", root.key_family.value]
     argv += ["-keyout", str(tmp_path / "root.pem"), "-nodes", "-subj", f"/CN={root.subject}"]
