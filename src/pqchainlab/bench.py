@@ -131,21 +131,30 @@ class RunAggregate:
 CSV_COLUMNS = [f.name for f in fields(RunAggregate)]
 
 
+# Default counts; _runs_for picks RUNS_FAST or RUNS_HEAVY per scenario.
+RUNS_FAST = 10000
+RUNS_HEAVY = 300
+DEFAULT_WARMUP = 20
+
+
 @dataclass
 class BenchConfig:
-    runs: Optional[int] = None  # None: use the scenario's inventory count
+    runs: Optional[int] = None  # None: the default that _runs_for picks
     runs_heavy: Optional[int] = None  # separate override for SLH-leaf scenarios
-    warmup: Optional[int] = None
+    warmup: int = DEFAULT_WARMUP
     policy: pki.ServedChainPolicy = pki.ServedChainPolicy.MIRROR
     now: int = pki.DEFAULT_NOW
 
 
-def _runs_for(scenario: Scenario, cfg: BenchConfig) -> tuple[int, int]:
-    runs = cfg.runs if cfg.runs is not None else scenario.runs
-    if scenario.placement_class.leaf_slh and cfg.runs_heavy is not None:
-        runs = cfg.runs_heavy
-    warmup = cfg.warmup if cfg.warmup is not None else scenario.warmup_runs
-    return runs, warmup
+def _runs_for(scenario: Scenario, cfg: BenchConfig) -> tuple[str, int]:
+    """The run count of ``scenario`` and the ``BenchConfig`` field that sets it.
+
+    The leaf family decides: an SLH-DSA leaf takes ``runs_heavy``, else
+    ``runs``, else RUNS_HEAVY; any other leaf ``runs``, else RUNS_FAST.
+    """
+    if scenario.placement_class.leaf_slh:
+        return "runs_heavy", next(n for n in (cfg.runs_heavy, cfg.runs, RUNS_HEAVY) if n is not None)
+    return "runs", RUNS_FAST if cfg.runs is None else cfg.runs
 
 
 def percentile_nearest_rank(values: list[float], q: float) -> float:
@@ -227,8 +236,7 @@ def run_scenario(
 ) -> list[HandshakeSample]:
     """Execute one scenario's campaign and return post-warmup samples."""
     cfg = cfg or BenchConfig()
-    runs, warmup = _runs_for(scenario, cfg)
-    total = runs + warmup
+    total = _runs_for(scenario, cfg)[1] + cfg.warmup
     scenario_dir = Path(pki_dir) / scenario.display_id
     if not (scenario_dir / "leaf.cert").exists():
         raise ScenarioFailed(f"{scenario.display_id}: not provisioned under {pki_dir}")
@@ -276,10 +284,10 @@ def run_scenario(
                         f"{scenario.display_id}: connection ordering violated "
                         f"({record['connection_index']} != {i})"
                     )
-                if i < warmup:
+                if i < cfg.warmup:
                     continue
                 sample = HandshakeSample(
-                    run_index=i - warmup,
+                    run_index=i - cfg.warmup,
                     elapsed_ms=elapsed_ms,
                     bytes_read=result.bytes_read,
                     bytes_written=result.bytes_written,

@@ -55,10 +55,21 @@ def _parse_seed(text: str) -> bytes:
         return text.encode()
 
 
+def _parse_count(text: str, least: int = 0) -> int:
+    """An integer of at least ``least``; argparse reports anything else as a usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, not {count}")
+    return count
+
+
 def _parse_runs(text: str) -> tuple[int, Optional[int]]:
     """--runs N applies everywhere; --runs FAST/HEAVY gives SLH-leaf scenarios HEAVY."""
     fast, _, heavy = text.partition("/")
-    return int(fast), int(heavy) if heavy else None
+    return _parse_count(fast, 1), _parse_count(heavy, 1) if heavy else None
 
 
 def _bench_config(args) -> bench.BenchConfig:
@@ -98,11 +109,17 @@ def write_manifest(
 
 
 def _select(args) -> list[Scenario]:
-    """The scenarios that ``--scenarios``, ``--select`` and ``--campaign`` name."""
-    scenarios = read_scenarios(args.scenarios) if args.scenarios else enumerate_matrix()
-    out = [s for s in scenarios if s.campaign == args.campaign] if args.campaign else scenarios
+    """The scenarios of ``--scenarios`` that ``--select`` or ``--campaign`` names."""
+    try:
+        scenarios = read_scenarios(args.scenarios) if args.scenarios else enumerate_matrix()
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: --scenarios {args.scenarios}: {reason}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     if args.select:
         out = [find_scenario(scenarios, sid) for sid in args.select]
+    else:
+        out = [s for s in scenarios if not args.campaign or s.campaign == args.campaign]
     if not out:
         print(f"error: no scenario selected ({len(scenarios)} scenarios, --campaign {args.campaign})",
               file=sys.stderr)
@@ -189,15 +206,14 @@ def _measure(scenarios: list[Scenario], pki_dir, cfg: bench.BenchConfig, out_dir
         provisioned = json.loads((Path(pki_dir) / "manifest.json").read_text())
     except FileNotFoundError:
         provisioned = {}
-    counts = [(s.placement_class.leaf_slh, *bench._runs_for(s, cfg)) for s in scenarios]
+    counts = [bench._runs_for(s, cfg) for s in scenarios]  # (BenchConfig field, runs)
     write_manifest(
         out_dir / "manifest.json", provisioned.get("seed_hex"), scenarios, cfg.policy.value,
         provisioned.get("issuance_epoch"), provisioned.get("issuance_backend"),
         validated_at=cfg.now, host_steal_share=steal,
         thread_clock_tick_ms=bench.thread_clock_tick_ms(),
-        runs=sorted({runs for heavy, runs, _ in counts if not heavy}),
-        runs_heavy=sorted({runs for heavy, runs, _ in counts if heavy}),
-        warmup=sorted({warmup for _, _, warmup in counts}),
+        **{field: sorted({n for f, n in counts if f == field}) for field in ("runs", "runs_heavy")},
+        warmup=[cfg.warmup],
     )
     return list(aggregates.values())
 
@@ -258,7 +274,11 @@ def cmd_analyze(args) -> int:
     if not (args.fixture or args.input):  # argparse admits only "paper" for --fixture
         print("error: provide --input CSV or --fixture paper", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    rows = bench.read_master_summary(fixture_path() if args.fixture else Path(args.input))
+    try:
+        rows = bench.read_master_summary(fixture_path() if args.fixture else Path(args.input))
+    except OSError as exc:
+        print(f"error: --input {args.input}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = load_config(args.config)
     except (ValueError, OSError) as exc:
@@ -344,6 +364,13 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if ok else EXIT_TRANSPORT
 
 
+def _add_selection(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenarios", help="scenarios.json (defaults to the built-in inventory)")
+    pick = p.add_mutually_exclusive_group()
+    pick.add_argument("--select", nargs="*", default=[], help="scenario ids")
+    pick.add_argument("--campaign", choices=CAMPAIGNS)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pqchainlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pqchainlab {__version__}")
@@ -355,9 +382,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen_scenarios)
 
     p = sub.add_parser("provision", help="generate keys and certificates")
-    p.add_argument("--scenarios", help="scenarios.json (defaults to the built-in inventory)")
-    p.add_argument("--select", nargs="*", default=[], help="scenario ids to provision")
-    p.add_argument("--campaign", choices=CAMPAIGNS)
+    _add_selection(p)
     p.add_argument("--seed", default=DEFAULT_SEED, help="hex (or raw) provisioning seed")
     p.add_argument("--out", default="pki")
     p.add_argument("--jobs", type=int, help="processes, this one included (default: cpu count)")
@@ -365,13 +390,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_provision)
 
     p = sub.add_parser("bench", help="run measurement campaigns")
-    p.add_argument("--scenarios")
-    p.add_argument("--select", nargs="*", default=[])
-    p.add_argument("--campaign", choices=CAMPAIGNS)
+    _add_selection(p)
     p.add_argument("--pki", default="pki")
     p.add_argument("--out", default="results")
-    p.add_argument("--runs", type=_parse_runs, help="N for every scenario, or FAST/HEAVY: HEAVY for SLH-leaf ones")
-    p.add_argument("--warmup", type=int, help="warmup connections to discard")
+    p.add_argument("--runs", type=_parse_runs, help="N for every scenario, or FAST/HEAVY: HEAVY for "
+                   f"SLH-leaf ones (default {bench.RUNS_FAST}/{bench.RUNS_HEAVY})")
+    p.add_argument("--warmup", type=_parse_count, default=bench.DEFAULT_WARMUP,
+                   help=f"warmup connections to discard (default {bench.DEFAULT_WARMUP})")
     p.add_argument("--policy", choices=["mirror", "full", "leaf"], default="mirror")
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW)
     p.set_defaults(func=cmd_bench)
@@ -388,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="reproduce")
     p.add_argument("--fixture-only", action="store_true", help="skip the live bench stage")
     p.add_argument("--runs", type=_parse_runs, default="40/3", help="as bench's --runs (default 40/3)")
-    p.add_argument("--warmup", type=int, default=2)
+    p.add_argument("--warmup", type=_parse_count, default=2)
     p.add_argument("--seed", default=DEFAULT_SEED)
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW)
     p.set_defaults(func=cmd_reproduce, policy="mirror")

@@ -159,100 +159,62 @@ def parse_scenario_id(scenario_id: str) -> tuple[KexMode, Placement]:
     return kex, Placement(families["root"], families.get("int"), families["leaf"])
 
 
-def legacy_alias(kex: KexMode, placement: Placement) -> Optional[str]:
-    """Leaf-only alias for uniform depth-2 hierarchies, else None."""
-    if placement.depth != 2 or placement.root is not placement.leaf:
-        return None
-    suffix = (
-        "leaf_mldsa65" if placement.leaf is SigFamily.ML_DSA_65 else "leaf_slhdsashake192s"
-    )
-    return f"{kex.value}__{suffix}"
-
-
-RUNS_FAST = 10000
-RUNS_HEAVY = 300
-DEFAULT_WARMUP = 20
-
-
-def default_runs(placement: Placement) -> int:
-    """Sampling policy: the leaf family decides the run count."""
-    return RUNS_HEAVY if classify_placement(placement).leaf_slh else RUNS_FAST
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """One point of the experiment matrix."""
+    """One point of the experiment matrix: its inventory id and its campaign.
 
-    scenario_id: str  # canonical positional id, recomputable from kex+placement
-    kex: KexMode
-    placement: Placement
+    The id is canonical or, in campaign A, a legacy leaf-only alias.  The KEX
+    mode and placement are read from it once, here; a malformed id raises
+    ``ValueError``.
+    """
+
+    display_id: str
     campaign: str
-    runs: int
-    warmup_runs: int = DEFAULT_WARMUP
-    alias: Optional[str] = field(default=None)
+    kex: KexMode = field(init=False, repr=False, compare=False)
+    placement: Placement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
-        if self.warmup_runs < 0:
-            raise ValueError("warmup_runs must be nonnegative")
-        if self.scenario_id != compose_scenario_id(self.kex, self.placement):
-            raise ValueError("scenario_id does not match kex+placement")
+        kex, placement = parse_scenario_id(self.display_id)
+        object.__setattr__(self, "kex", kex)
+        object.__setattr__(self, "placement", placement)
 
     @property
     def depth(self) -> int:
         return self.placement.depth
 
     @property
-    def display_id(self) -> str:
-        """Id used in external files and reports (legacy alias where one exists
-        in the published inventory, canonical id otherwise)."""
-        return self.alias or self.scenario_id
-
-    @property
     def placement_class(self) -> PlacementClass:
         return classify_placement(self.placement)
-
-
-def _scenario(kex: KexMode, spec: str, campaign: str, use_alias: bool = False) -> Scenario:
-    _, placement = parse_scenario_id(f"{kex.value}__{spec}")
-    return Scenario(
-        scenario_id=compose_scenario_id(kex, placement),
-        kex=kex,
-        placement=placement,
-        campaign=campaign,
-        runs=default_runs(placement),
-        alias=legacy_alias(kex, placement) if use_alias else None,
-    )
 
 
 def enumerate_matrix() -> list[Scenario]:
     """The 17-scenario experimental inventory, ordered by (campaign, id).
 
-    Campaign A carries the legacy ``leaf_<alg>`` aliases of its uniform
-    depth-2 hierarchies; the other campaigns use positional ids directly.
+    Campaign A names its uniform depth-2 hierarchies by their legacy
+    ``leaf_<alg>`` aliases; the other campaigns use positional ids.
     """
-    C, H, P = KexMode.CLASSICAL, KexMode.HYBRID, KexMode.PURE_PQC
-    rows = [
-        _scenario(C, "ml_root__ml_leaf", "A", use_alias=True),
-        _scenario(C, "slh_root__slh_leaf", "A", use_alias=True),
-        _scenario(H, "ml_root__ml_leaf", "A", use_alias=True),
-        _scenario(H, "slh_root__slh_leaf", "A", use_alias=True),
-        _scenario(H, "ml_root__ml_int__ml_leaf", "B"),
-        _scenario(H, "ml_root__ml_int__slh_leaf", "B"),
-        _scenario(H, "ml_root__slh_int__slh_leaf", "B"),
-        _scenario(H, "slh_root__ml_int__ml_leaf", "B"),
-        _scenario(H, "slh_root__ml_int__slh_leaf", "B"),
-        _scenario(H, "slh_root__slh_int__slh_leaf", "B"),
-        _scenario(H, "ml_root__ml_leaf", "C"),
-        _scenario(H, "ml_root__slh_leaf", "C"),
-        _scenario(H, "slh_root__ml_leaf", "C"),
-        _scenario(H, "slh_root__slh_leaf", "C"),
-        _scenario(P, "ml_root__ml_leaf", "D"),
-        _scenario(P, "slh_root__ml_int__ml_leaf", "D"),
-        _scenario(P, "slh_root__slh_leaf", "D"),
+    return [
+        Scenario(scenario_id, campaign)
+        for campaign, scenario_id in (
+            ("A", "x25519__leaf_mldsa65"),
+            ("A", "x25519__leaf_slhdsashake192s"),
+            ("A", "x25519mlkem768__leaf_mldsa65"),
+            ("A", "x25519mlkem768__leaf_slhdsashake192s"),
+            ("B", "x25519mlkem768__ml_root__ml_int__ml_leaf"),
+            ("B", "x25519mlkem768__ml_root__ml_int__slh_leaf"),
+            ("B", "x25519mlkem768__ml_root__slh_int__slh_leaf"),
+            ("B", "x25519mlkem768__slh_root__ml_int__ml_leaf"),
+            ("B", "x25519mlkem768__slh_root__ml_int__slh_leaf"),
+            ("B", "x25519mlkem768__slh_root__slh_int__slh_leaf"),
+            ("C", "x25519mlkem768__ml_root__ml_leaf"),
+            ("C", "x25519mlkem768__ml_root__slh_leaf"),
+            ("C", "x25519mlkem768__slh_root__ml_leaf"),
+            ("C", "x25519mlkem768__slh_root__slh_leaf"),
+            ("D", "mlkem768__ml_root__ml_leaf"),
+            ("D", "mlkem768__slh_root__ml_int__ml_leaf"),
+            ("D", "mlkem768__slh_root__slh_leaf"),
+        )
     ]
-    return sorted(rows, key=lambda s: (s.campaign, s.display_id))
 
 
 def resolve_id(
@@ -288,7 +250,7 @@ def write_scenarios(scenarios: list[Scenario], path: Path | str) -> None:
     payload = [
         {
             "scenario_id": s.display_id,
-            "canonical_id": s.scenario_id,
+            "canonical_id": compose_scenario_id(s.kex, s.placement),
             "kex_mode": s.kex.name.lower(),
             "tls_group": s.kex.value,
             "depth": s.depth,
@@ -298,8 +260,6 @@ def write_scenarios(scenarios: list[Scenario], path: Path | str) -> None:
             ),
             "leaf_family": s.placement.leaf.value,
             "campaign": s.campaign,
-            "runs": s.runs,
-            "warmup_runs": s.warmup_runs,
         }
         for s in scenarios
     ]
@@ -307,15 +267,6 @@ def write_scenarios(scenarios: list[Scenario], path: Path | str) -> None:
 
 
 def read_scenarios(path: Path | str) -> list[Scenario]:
-    return [
-        Scenario(
-            scenario_id=d["canonical_id"],
-            kex=KexMode(d["tls_group"]),
-            placement=parse_scenario_id(d["canonical_id"])[1],
-            campaign=d["campaign"],
-            runs=d["runs"],
-            warmup_runs=d["warmup_runs"],
-            alias=d["scenario_id"] if d["scenario_id"] != d["canonical_id"] else None,
-        )
-        for d in json.loads(Path(path).read_text())
-    ]
+    """The scenarios of a :func:`write_scenarios` file; only ``scenario_id`` and
+    ``campaign`` are read, so other keys (older files' run counts) are ignored."""
+    return [Scenario(d["scenario_id"], d["campaign"]) for d in json.loads(Path(path).read_text())]

@@ -59,6 +59,58 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert expected in capsys.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (["--runs", "0"], "--runs: must be at least 1, not 0"),
+        (["--runs", "5/0"], "--runs: must be at least 1, not 0"),
+        (["--runs", "-1"], "--runs: must be at least 1, not -1"),
+        (["--runs", "2", "--warmup", "-1"], "--warmup: must be at least 0, not -1"),
+        (["--warmup", "x"], "--warmup: not an integer: 'x'"),
+    ],
+    ids=["runs_0", "heavy_0", "runs_negative", "warmup_negative", "warmup_not_integer"],
+)
+@pytest.mark.parametrize("command", ["bench", "reproduce"])
+def test_out_of_range_counts_are_usage_errors(capsys, command, counts, message):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([command, *counts])
+    assert err.value.code == EXIT_USAGE
+    usage, error = capsys.readouterr().err.split("\nerror: ")
+    assert usage.startswith(f"usage: pqchainlab {command} ")
+    assert error == f"argument {message}\n"
+
+
+@pytest.mark.parametrize("command", ["provision", "bench"])
+def test_select_and_campaign_are_exclusive(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--campaign", "D", "--select", "x25519__leaf_mldsa65", "--out", str(tmp_path / "o")])
+    assert err.value.code == EXIT_USAGE
+    assert "error: argument --select: not allowed with argument --campaign" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[{", "Expecting property name"),
+        ('[{"scenario_id": "x25519__leaf_mldsa65"}]', "missing key 'campaign'"),
+        ('[{"scenario_id": "x25519__ml_root", "campaign": "A"}]', "malformed scenario id"),
+        (None, "No such file"),
+    ],
+    ids=["bad_json", "missing_key", "malformed_id", "missing_file"],
+)
+@pytest.mark.parametrize("command", ["provision", "bench"])
+def test_scenarios_file_that_does_not_load(tmp_path, capsys, command, text, reason):
+    path = tmp_path / "scenarios.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--scenarios", str(path), "--out", str(tmp_path / "o")])
+    assert err.value.code == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: --scenarios {path}: ") and reason in line, line
+
+
 def test_provision_and_bench_small(tmp_path):
     pki_dir = tmp_path / "pki"
     ids = [
@@ -130,6 +182,12 @@ def test_runs_means_the_same_to_bench_and_reproduce(runs, counts):
     ]
     assert bench_cfg == reproduce_cfg
     assert (bench_cfg.runs, bench_cfg.runs_heavy, bench_cfg.now) == (*counts, 1800000000)
+
+
+def test_bench_default_counts(matrix):
+    cfg = cli._bench_config(build_parser().parse_args(["bench"]))
+    assert {bench._runs_for(s, cfg) for s in matrix} == {("runs", 10000), ("runs_heavy", 300)}
+    assert cfg.warmup == 20
 
 
 MIXED = [
@@ -265,6 +323,13 @@ def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         assert f"{key}: " in err, err
     assert main([*argv, "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
+
+
+def test_analyze_missing_input_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["analyze", "--input", str(missing), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: --input {missing}: "), line
 
 
 def test_analyze_schema_mismatch(tmp_path):

@@ -1,21 +1,21 @@
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqchainlab.bench import BenchConfig, _runs_for
 from pqchainlab.scenario import (
-    DEFAULT_WARMUP,
     KexMode,
     Placement,
+    Scenario,
     SigFamily,
     classify_placement,
     compose_scenario_id,
     conceptual_perf_group,
-    default_runs,
     enumerate_matrix,
     find_scenario,
-    legacy_alias,
     parse_scenario_id,
     read_scenarios,
     resolve_id,
@@ -42,16 +42,24 @@ def test_parse_legacy_alias():
     assert placement == Placement(SLH, None, SLH)
 
 
-def test_compose_never_generates_alias():
+def test_compose_never_generates_alias(matrix):
     assert compose_scenario_id(KexMode.CLASSICAL, Placement(ML, None, ML)) == "x25519__ml_root__ml_leaf"
-    assert legacy_alias(KexMode.CLASSICAL, Placement(ML, None, ML)) == "x25519__leaf_mldsa65"
-    assert legacy_alias(KexMode.CLASSICAL, Placement(SLH, None, ML)) is None
+    # campaign A's ids are the legacy aliases, of uniform depth-2 hierarchies only
+    for s in matrix:
+        canonical = compose_scenario_id(s.kex, s.placement)
+        if s.campaign == "A":
+            assert canonical != s.display_id
+            assert s.depth == 2 and s.placement.root is s.placement.leaf
+        else:
+            assert canonical == s.display_id
 
 
 @pytest.mark.parametrize("bad", ["nonsense", "x25519", "x25519__ml_root", "foo__ml_root__ml_leaf"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_scenario_id(bad)
+    with pytest.raises(ValueError):
+        Scenario(bad, "A")
 
 
 @given(
@@ -71,26 +79,30 @@ def test_matrix_inventory(matrix):
     assert len({s.display_id for s in matrix}) == 17
     # campaigns A and C deliberately re-measure two hybrid depth-2 shapes,
     # so canonical ids repeat while inventory ids stay unique
-    assert len({s.scenario_id for s in matrix}) == 15
+    assert len({compose_scenario_id(s.kex, s.placement) for s in matrix}) == 15
     assert Counter(s.campaign for s in matrix) == {"A": 4, "B": 6, "C": 4, "D": 3}
     assert [s.campaign for s in matrix] == sorted(s.campaign for s in matrix)
 
 
 def test_matrix_run_policy(matrix):
-    assert find_scenario(matrix, "x25519__leaf_slhdsashake192s").runs == 300
-    assert find_scenario(matrix, "x25519__leaf_mldsa65").runs == 10000
+    default = BenchConfig()
+    assert _runs_for(find_scenario(matrix, "x25519__leaf_slhdsashake192s"), default) == ("runs_heavy", 300)
+    assert _runs_for(find_scenario(matrix, "x25519__leaf_mldsa65"), default) == ("runs", 10000)
+    assert default.warmup == 20
     for s in matrix:
-        expected = 300 if s.placement.leaf is SLH else 10000
-        assert s.runs == expected == default_runs(s.placement)
-        assert s.warmup_runs == DEFAULT_WARMUP
+        heavy = s.placement.leaf is SLH
+        assert _runs_for(s, default)[1] == (300 if heavy else 10000)
+        assert _runs_for(s, BenchConfig(runs=7))[1] == 7  # one count for every scenario
+        assert _runs_for(s, BenchConfig(runs=7, runs_heavy=2))[1] == (2 if heavy else 7)
+        assert _runs_for(s, BenchConfig(runs_heavy=2))[1] == (2 if heavy else 10000)
 
 
 def test_matrix_id_shapes(matrix):
     for s in matrix:
         if s.depth == 2:
-            assert "_int__" not in s.scenario_id
+            assert "_int__" not in s.display_id
         else:
-            assert "_int__" in s.scenario_id
+            assert "_int__" in s.display_id
 
 
 def test_find_scenario_accepts_either_spelling(matrix, fixture_rows):
@@ -98,7 +110,7 @@ def test_find_scenario_accepts_either_spelling(matrix, fixture_rows):
     canonical = find_scenario(matrix, "x25519mlkem768__ml_root__ml_leaf")
     assert legacy.campaign == "A"
     assert canonical.campaign == "C"
-    assert legacy.scenario_id == canonical.scenario_id  # same hierarchy shape
+    assert (legacy.kex, legacy.placement) == (canonical.kex, canonical.placement)  # same hierarchy
     # classical alias resolves through its canonical spelling
     assert find_scenario(matrix, "x25519__ml_root__ml_leaf").display_id == "x25519__leaf_mldsa65"
     with pytest.raises(KeyError):
@@ -146,3 +158,29 @@ def test_scenarios_json_roundtrip(tmp_path, matrix):
     assert loaded == matrix
     write_scenarios(loaded, path)
     assert path.read_bytes() == first
+
+
+def test_matrix_is_the_published_inventory(matrix, fixture_rows):
+    # the reference table's 17 rows, in its order: ids, campaigns, KEX modes, depths
+    assert [(s.campaign, s.display_id) for s in matrix] == [
+        (r.campaign, r.scenario_id) for r in fixture_rows
+    ]
+    assert [(s.kex.name.lower(), s.depth) for s in matrix] == [
+        (r.kex_mode, r.depth) for r in fixture_rows
+    ]
+    # ordered by (campaign, id), as every release has listed it
+    assert [(s.campaign, s.display_id) for s in matrix] == sorted(
+        (s.campaign, s.display_id) for s in matrix
+    )
+
+
+def test_scenarios_json_with_run_counts_loads(tmp_path, matrix):
+    """Files written before the counts left the inventory carry ``runs`` and
+    ``warmup_runs`` per scenario; they load to the same inventory."""
+    path = tmp_path / "scenarios.json"
+    write_scenarios(matrix, path)
+    entries = json.loads(path.read_text())
+    for entry in entries:
+        entry.update(runs=300 if entry["leaf_family"] == SLH.value else 10000, warmup_runs=20)
+    path.write_text(json.dumps(entries, indent=2) + "\n")
+    assert read_scenarios(path) == enumerate_matrix()
