@@ -18,14 +18,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .bench import RunAggregate, write_rows
+from .bench import RunAggregate, SchemaError, ratio, write_rows
 from .config import AnalysisConfig
 from .scenario import (
     Placement,
     PlacementClass,
     SigFamily,
     conceptual_perf_group,
-    parse_scenario_id,
     resolve_id,
 )
 
@@ -59,10 +58,17 @@ def normalize_to_baseline(
     rows: Sequence[RunAggregate], baseline_id: str
 ) -> list[NormalizedRow]:
     """Each row's latency, bytes read and server CPU over the baseline row's, in input
-    order: the one place that resolves the baseline and divides by it."""
+    order: the one place that resolves the baseline and divides by it.
+
+    Every row's server task clock must be positive, since capacity and cost divide by
+    it; a row whose clock is not is a :class:`SchemaError`.
+    """
     base = resolve_id(rows, baseline_id)
-    if base.server_task_ms <= 0:
-        raise ValueError("baseline server task clock must be positive")
+    for row in rows:
+        if row.server_task_ms <= 0:
+            raise SchemaError(
+                f"{row.scenario_id}: server task clock {row.server_task_ms} ms is not positive"
+            )
     return [
         NormalizedRow(
             scenario_id=row.scenario_id,
@@ -73,62 +79,6 @@ def normalize_to_baseline(
         )
         for row in rows
     ]
-
-
-# --- campaign A pairing ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LeafPairRow:
-    kex_mode: str
-    tls_group: str
-    ml_elapsed_ms: float
-    slh_elapsed_ms: float
-    latency_ratio: float
-    ml_bytes_read: float
-    slh_bytes_read: float
-    bytes_read_ratio: float
-    ml_server_task_ms: float
-    slh_server_task_ms: float
-    server_taskclock_ratio: float
-    ml_client_task_ms: float
-    slh_client_task_ms: float
-    client_taskclock_ratio: float
-
-
-def campaign_a_pairs(rows: Sequence[RunAggregate]) -> list[LeafPairRow]:
-    """SLH/ML ratios for the leaf-only contrast, per KEX mode."""
-    pairs: dict[str, dict[SigFamily, RunAggregate]] = {}
-    for row in rows:
-        if row.campaign != "A":
-            continue
-        kex, placement = parse_scenario_id(row.scenario_id)
-        pairs.setdefault(kex.value, {})[placement.leaf] = row
-    out = []
-    for group, members in sorted(pairs.items()):
-        if len(members) != 2:
-            raise KeyError(f"campaign A pair incomplete for group {group}")
-        ml = members[SigFamily.ML_DSA_65]
-        slh = members[SigFamily.SLH_DSA_SHAKE_192S]
-        out.append(
-            LeafPairRow(
-                kex_mode=ml.kex_mode,
-                tls_group=group,
-                ml_elapsed_ms=ml.mean_ms,
-                slh_elapsed_ms=slh.mean_ms,
-                latency_ratio=slh.mean_ms / ml.mean_ms,
-                ml_bytes_read=ml.bytes_read,
-                slh_bytes_read=slh.bytes_read,
-                bytes_read_ratio=slh.bytes_read / ml.bytes_read,
-                ml_server_task_ms=ml.server_task_ms,
-                slh_server_task_ms=slh.server_task_ms,
-                server_taskclock_ratio=slh.server_task_ms / ml.server_task_ms,
-                ml_client_task_ms=ml.client_task_ms,
-                slh_client_task_ms=slh.client_task_ms,
-                client_taskclock_ratio=slh.client_task_ms / ml.client_task_ms,
-            )
-        )
-    return out
 
 
 # --- placement summary ------------------------------------------------------
@@ -154,13 +104,13 @@ class PlacementSummaryRow:
 
 
 def placement_summary(
-    rows: Sequence[RunAggregate], baseline_id: str
+    rows: Sequence[RunAggregate], normalized: Sequence[NormalizedRow]
 ) -> list[PlacementSummaryRow]:
-    """Per-class statistics; a scenario contributes to every class it flags."""
-    normalized = list(zip(rows, normalize_to_baseline(rows, baseline_id)))
+    """Per-class statistics of ``rows`` and their baseline ratios (``normalized[i]`` is
+    ``rows[i]``'s); a scenario contributes to every class it flags."""
     out = []
     for class_name in PLACEMENT_CLASSES:
-        pairs = [(m, n) for m, n in normalized if getattr(m.placement_class, class_name)]
+        pairs = [(m, n) for m, n in zip(rows, normalized) if getattr(m.placement_class, class_name)]
         if not pairs:
             continue
         members, ratios = zip(*pairs)
@@ -196,7 +146,7 @@ def placement_summary(
     return out
 
 
-# --- depth and KEX pairs -------------------------------------------------------
+# --- campaign A, depth and KEX pairs --------------------------------------------
 
 
 def _resolved_pairs(
@@ -209,6 +159,58 @@ def _resolved_pairs(
             yield labels, resolve_id(rows, first_id), resolve_id(rows, second_id)
         except KeyError:
             warn(f"{describe(*labels)} skipped: missing member")
+
+
+CAMPAIGN_A_PAIR_MAP = [
+    ("x25519", "x25519__leaf_mldsa65", "x25519__leaf_slhdsashake192s"),
+    ("x25519mlkem768", "x25519mlkem768__leaf_mldsa65", "x25519mlkem768__leaf_slhdsashake192s"),
+]
+
+
+@dataclass(frozen=True)
+class LeafPairRow:
+    kex_mode: str
+    tls_group: str
+    ml_elapsed_ms: float
+    slh_elapsed_ms: float
+    latency_ratio: float
+    ml_bytes_read: float
+    slh_bytes_read: float
+    bytes_read_ratio: float
+    ml_server_task_ms: float
+    slh_server_task_ms: float
+    server_taskclock_ratio: float
+    ml_client_task_ms: float
+    slh_client_task_ms: float
+    client_taskclock_ratio: float
+
+
+def campaign_a_pairs(
+    rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
+) -> list[LeafPairRow]:
+    """SLH/ML ratios for the leaf-only contrast, per KEX mode."""
+    pairs = _resolved_pairs(
+        rows, CAMPAIGN_A_PAIR_MAP, warn, lambda group: f"campaign A pair {group!r}"
+    )
+    return [
+        LeafPairRow(
+            kex_mode=ml.kex_mode,
+            tls_group=group,
+            ml_elapsed_ms=ml.mean_ms,
+            slh_elapsed_ms=slh.mean_ms,
+            latency_ratio=ratio(slh.mean_ms, ml.mean_ms),
+            ml_bytes_read=ml.bytes_read,
+            slh_bytes_read=slh.bytes_read,
+            bytes_read_ratio=ratio(slh.bytes_read, ml.bytes_read),
+            ml_server_task_ms=ml.server_task_ms,
+            slh_server_task_ms=slh.server_task_ms,
+            server_taskclock_ratio=ratio(slh.server_task_ms, ml.server_task_ms),
+            ml_client_task_ms=ml.client_task_ms,
+            slh_client_task_ms=slh.client_task_ms,
+            client_taskclock_ratio=ratio(slh.client_task_ms, ml.client_task_ms),
+        )
+        for (group,), ml, slh in pairs
+    ]
 
 
 DEPTH_PAIR_MAP = [
@@ -260,25 +262,23 @@ def depth_pairs(
     rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
 ) -> list[DepthPairRow]:
     """Depth-2 vs depth-3 contrasts over the fixed comparable-family map."""
-    out = []
     pairs = _resolved_pairs(rows, DEPTH_PAIR_MAP, warn, lambda label: f"depth pair {label!r}")
-    for (label,), d2, d3 in pairs:
-        out.append(
-            DepthPairRow(
-                pair_label=label,
-                depth2_id=d2.scenario_id,
-                depth3_id=d3.scenario_id,
-                depth2_elapsed_ms=d2.mean_ms,
-                depth3_elapsed_ms=d3.mean_ms,
-                delta_elapsed_ms=d3.mean_ms - d2.mean_ms,
-                latency_ratio=d3.mean_ms / d2.mean_ms,
-                delta_bytes_read=d3.bytes_read - d2.bytes_read,
-                delta_chain_bytes_unique=d3.chain_bytes_unique - d2.chain_bytes_unique,
-                delta_server_task_ms=d3.server_task_ms - d2.server_task_ms,
-                server_taskclock_ratio=d3.server_task_ms / d2.server_task_ms,
-            )
+    return [
+        DepthPairRow(
+            pair_label=label,
+            depth2_id=d2.scenario_id,
+            depth3_id=d3.scenario_id,
+            depth2_elapsed_ms=d2.mean_ms,
+            depth3_elapsed_ms=d3.mean_ms,
+            delta_elapsed_ms=d3.mean_ms - d2.mean_ms,
+            latency_ratio=ratio(d3.mean_ms, d2.mean_ms),
+            delta_bytes_read=d3.bytes_read - d2.bytes_read,
+            delta_chain_bytes_unique=d3.chain_bytes_unique - d2.chain_bytes_unique,
+            delta_server_task_ms=d3.server_task_ms - d2.server_task_ms,
+            server_taskclock_ratio=ratio(d3.server_task_ms, d2.server_task_ms),
         )
-    return out
+        for (label,), d2, d3 in pairs
+    ]
 
 
 KEX_PAIR_MAP = [
@@ -338,31 +338,29 @@ def kex_pairs(
     rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
 ) -> list[KexPairRow]:
     """Classical->hybrid and hybrid->pure contrasts on comparable chains."""
-    out = []
     pairs = _resolved_pairs(
         rows, KEX_PAIR_MAP, warn, lambda comparison, label: f"kex pair {label!r} ({comparison})"
     )
-    for (comparison, label), src, dst in pairs:
-        out.append(
-            KexPairRow(
-                comparison_type=comparison,
-                family_label=label,
-                from_kex_mode=src.kex_mode,
-                to_kex_mode=dst.kex_mode,
-                leaf_family=src.placement.leaf.value,
-                depth=src.depth,
-                elapsed_mean_from_ms=src.mean_ms,
-                elapsed_mean_to_ms=dst.mean_ms,
-                latency_ratio_to_over_from=dst.mean_ms / src.mean_ms,
-                bytes_read_from=src.bytes_read,
-                bytes_read_to=dst.bytes_read,
-                bytes_read_ratio_to_over_from=dst.bytes_read / src.bytes_read,
-                server_task_from_ms=src.server_task_ms,
-                server_task_to_ms=dst.server_task_ms,
-                server_task_ratio_to_over_from=dst.server_task_ms / src.server_task_ms,
-            )
+    return [
+        KexPairRow(
+            comparison_type=comparison,
+            family_label=label,
+            from_kex_mode=src.kex_mode,
+            to_kex_mode=dst.kex_mode,
+            leaf_family=src.placement.leaf.value,
+            depth=src.depth,
+            elapsed_mean_from_ms=src.mean_ms,
+            elapsed_mean_to_ms=dst.mean_ms,
+            latency_ratio_to_over_from=ratio(dst.mean_ms, src.mean_ms),
+            bytes_read_from=src.bytes_read,
+            bytes_read_to=dst.bytes_read,
+            bytes_read_ratio_to_over_from=ratio(dst.bytes_read, src.bytes_read),
+            server_task_from_ms=src.server_task_ms,
+            server_task_to_ms=dst.server_task_ms,
+            server_task_ratio_to_over_from=ratio(dst.server_task_ms, src.server_task_ms),
         )
-    return out
+        for (comparison, label), src, dst in pairs
+    ]
 
 
 # --- correlations ------------------------------------------------------------
@@ -510,10 +508,9 @@ class RegimeLabel(enum.Enum):
 
 
 def regime_label(row: RunAggregate, cfg: AnalysisConfig = AnalysisConfig()) -> RegimeLabel:
-    ratio = row.srv_cli_ratio
-    if ratio > cfg.regime_server_bound_ratio:
+    if row.srv_cli_ratio > cfg.regime_server_bound_ratio:
         return RegimeLabel.OVERWHELMINGLY_SERVER_BOUND
-    if ratio < cfg.regime_client_skewed_ratio:
+    if row.srv_cli_ratio < cfg.regime_client_skewed_ratio:
         return RegimeLabel.CLIENT_SKEWED
     return RegimeLabel.BALANCED
 
@@ -563,15 +560,16 @@ class CapacityRow:
     conceptual_perf_group: str
 
 
-def _capacity_rows(rows: Sequence[RunAggregate], baseline_id: str) -> list[CapacityRow]:
-    """Server capacity per row, in input order; the capacity and economic tables share it.
+def _capacity_rows(
+    rows: Sequence[RunAggregate], normalized: Sequence[NormalizedRow]
+) -> list[CapacityRow]:
+    """Server capacity of ``rows``, in input order, from their baseline ratios
+    (``normalized[i]`` is ``rows[i]``'s); the capacity and economic tables share it.
 
     Serving the baseline's load takes ``server CPU / baseline server CPU`` times the cores.
     """
     out = []
-    for row, norm in zip(rows, normalize_to_baseline(rows, baseline_id)):
-        if row.server_task_ms <= 0:
-            raise ValueError(f"{row.scenario_id}: server task clock must be positive")
+    for row, norm in zip(rows, normalized):
         hps = 1000.0 / row.server_task_ms
         multiplier = norm.server_cpu_relative_to_baseline
         out.append(
@@ -587,10 +585,6 @@ def _capacity_rows(rows: Sequence[RunAggregate], baseline_id: str) -> list[Capac
             )
         )
     return out
-
-
-def capacity_model(rows: Sequence[RunAggregate], baseline_id: str) -> list[CapacityRow]:
-    return sorted(_capacity_rows(rows, baseline_id), key=lambda r: -r.handshakes_per_core_second)
 
 
 # --- economic model --------------------------------------------------------------
@@ -613,12 +607,12 @@ class EconomicRow:
 
 
 def economic_model(
-    rows: Sequence[RunAggregate], cfg: AnalysisConfig
+    rows: Sequence[RunAggregate], capacity_rows: Sequence[CapacityRow], cfg: AnalysisConfig
 ) -> list[EconomicRow]:
-    if cfg.price_per_cpu_hour <= 0:
-        raise ValueError("price per CPU hour must be positive")
+    """Cost per million handshakes of ``rows``, cheapest first, from their capacity rows
+    (``capacity_rows[i]`` is ``rows[i]``'s)."""
     out = []
-    for row, capacity in zip(rows, _capacity_rows(rows, cfg.baseline_id)):
+    for row, capacity in zip(rows, capacity_rows):
         cpu_seconds = row.server_task_ms / 1000.0
         cpu_hours_per_million = cpu_seconds * 1e6 / 3600.0
         cost = cpu_hours_per_million * cfg.price_per_cpu_hour
@@ -744,20 +738,18 @@ def plausibility_rank(
     normalized: Sequence[NormalizedRow],
     cfg: AnalysisConfig = AnalysisConfig(),
 ) -> list[PlausibilityRow]:
-    """Scenarios ordered by latency multiplier; the rank is the label's
-    severity index (scenarios sharing a label share its rank)."""
-    ordered = sorted(normalized, key=lambda n: n.latency_relative_to_baseline)
+    """Scenarios ordered by latency multiplier (``normalized[i]`` is ``rows[i]``'s); the
+    rank is the label's severity index (scenarios sharing a label share its rank)."""
+    ordered = sorted(zip(rows, normalized), key=lambda pair: pair[1].latency_relative_to_baseline)
     out = []
-    for norm in ordered:
-        row = resolve_id(rows, norm.scenario_id)
+    for row, norm in ordered:
         label = plausibility_label(norm.latency_relative_to_baseline, cfg)
-        placement = row.placement
         out.append(
             PlausibilityRow(
                 plausibility_rank=label.rank,
                 scenario_id=norm.scenario_id,
-                hierarchy_family_label=hierarchy_label(placement),
-                slh_position_class=slh_position_class(placement),
+                hierarchy_family_label=hierarchy_label(row.placement),
+                slh_position_class=norm.slh_position_class,
                 elapsed_mean_ms=row.mean_ms,
                 server_task_clock_per_run_ms=row.server_task_ms,
                 latency_relative_to_baseline=norm.latency_relative_to_baseline,
@@ -775,26 +767,27 @@ def compute_tables(
     cfg: AnalysisConfig,
     warn: Callable[[str], None] = lambda _m: None,
 ) -> dict[str, list]:
-    """Every reproduced table by name, each analysis run once."""
+    """Every reproduced table by name: the baseline ratios and the capacity rows are
+    derived once, here, and each table reads them."""
     normalized = normalize_to_baseline(rows, cfg.baseline_id)
-    strategy_matrix = [n for r, n in zip(rows, normalized) if r.campaign == "B"] or normalized
-    economics = economic_model(rows, cfg)
-
-    def attempt(fn, name):
-        # partial inputs legitimately lack some pairings or subsets
-        try:
-            return fn()
-        except (KeyError, ValueError) as exc:
-            warn(f"{name} skipped: {exc}")
-            return []
-
+    capacity = _capacity_rows(rows, normalized)
+    economics = economic_model(rows, capacity, cfg)
+    # the strategy matrix is campaign B, or every row of an input without it
+    pairs = list(zip(rows, normalized))
+    matrix = [(r, n) for r, n in pairs if r.campaign == "B"] or pairs
+    matrix_rows, strategy_matrix = [r for r, _ in matrix], [n for _, n in matrix]
+    try:
+        correlations = correlation_table(rows)
+    except ValueError as exc:  # partial inputs legitimately lack some subsets
+        warn(f"correlations skipped: {exc}")
+        correlations = []
     return {
-        "campaignA_pairs": attempt(lambda: campaign_a_pairs(rows), "campaignA_pairs"),
+        "campaignA_pairs": campaign_a_pairs(rows, warn),
         "strategy_matrix": strategy_matrix,
-        "placement_summary": placement_summary(rows, cfg.baseline_id),
+        "placement_summary": placement_summary(rows, normalized),
         "depth_pairs": depth_pairs(rows, warn),
         "kex_pairs": kex_pairs(rows, warn),
-        "correlations": attempt(lambda: correlation_table(rows), "correlations"),
+        "correlations": correlations,
         "counterexamples": [
             row
             for metric in CORRELATION_METRICS
@@ -803,10 +796,10 @@ def compute_tables(
             )
         ],
         "decomposition": decomposition_table(rows, cfg),
-        "capacity": capacity_model(rows, cfg.baseline_id),
+        "capacity": sorted(capacity, key=lambda r: -r.handshakes_per_core_second),
         "economics": economics,
         "service_classes": service_class_table(economics, cfg),
-        "plausibility": plausibility_rank(rows, strategy_matrix, cfg),
+        "plausibility": plausibility_rank(matrix_rows, strategy_matrix, cfg),
     }
 
 
@@ -816,10 +809,11 @@ def run_all(
     cfg: AnalysisConfig,
     warn: Callable[[str], None] = lambda _m: None,
 ) -> dict[str, list]:
-    """Compute every table and write one CSV per table; return the tables."""
+    """Compute every table and write one CSV per table; return the tables.  Nothing is
+    written, not even ``out_dir``, when a table cannot be made."""
+    results = compute_tables(rows, cfg, warn)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = compute_tables(rows, cfg, warn)
     for name, table in results.items():
         write_rows(table, out_dir / f"{name}.csv")
     return results

@@ -166,6 +166,13 @@ def percentile_nearest_rank(values: list[float], q: float) -> float:
     return ordered[int(rank) - 1]
 
 
+def ratio(num: float, den: float) -> float:
+    """``num / den``, where a zero ``den`` gives ``inf``, or 0.0 when ``num`` is 0 too."""
+    if den:
+        return num / den
+    return float("inf") if num else 0.0
+
+
 def aggregate(scenario: Scenario, samples: list[HandshakeSample]) -> RunAggregate:
     """Collapse per-run samples into one master-summary row."""
     if not samples:
@@ -175,12 +182,6 @@ def aggregate(scenario: Scenario, samples: list[HandshakeSample]) -> RunAggregat
     mean_ms = sum(elapsed) / n
     client_ms = sum(s.client_cpu_ms for s in samples) / n
     server_ms = sum(s.server_cpu_ms for s in samples) / n
-    if client_ms > 0:
-        ratio = server_ms / client_ms
-    else:
-        # client stayed below the CPU clock's tick floor for the whole
-        # campaign; the decomposition is then server-everything
-        ratio = float("inf") if server_ms > 0 else 0.0
     chain_lens = {s.chain_len_unique for s in samples}
     chain_bytes = {s.chain_bytes_unique for s in samples}
     der_bytes = {s.served_chain_der_bytes for s in samples}
@@ -203,7 +204,9 @@ def aggregate(scenario: Scenario, samples: list[HandshakeSample]) -> RunAggregat
         server_task_ms=server_ms,
         client_over_elapsed=client_ms / mean_ms if mean_ms else 0.0,
         server_over_elapsed=server_ms / mean_ms if mean_ms else 0.0,
-        srv_cli_ratio=ratio,
+        # a client below the CPU clock's tick for the whole campaign reads 0:
+        # the decomposition is then server-everything
+        srv_cli_ratio=ratio(server_ms, client_ms),
     )
 
 
@@ -369,7 +372,9 @@ def write_rows(rows: Sequence, path: Path | str) -> None:
 
 
 class SchemaError(Exception):
-    """Input rows do not carry the master-summary column set."""
+    """Input rows do not fit the master-summary schema: a column is missing, a cell
+    does not read, or a value is one that analysis cannot use (a server task clock
+    that is not positive)."""
 
 
 def read_master_summary(path: Path | str) -> list[RunAggregate]:

@@ -109,7 +109,8 @@ def write_manifest(
 
 
 def _select(args) -> list[Scenario]:
-    """The scenarios of ``--scenarios`` that ``--select`` or ``--campaign`` names."""
+    """The scenarios of ``--scenarios`` that ``--select`` or ``--campaign`` names; a
+    scenario selected twice is a usage error, as each has one output directory."""
     try:
         scenarios = read_scenarios(args.scenarios) if args.scenarios else enumerate_matrix()
     except (ValueError, KeyError, TypeError, OSError) as exc:
@@ -124,6 +125,11 @@ def _select(args) -> list[Scenario]:
         print(f"error: no scenario selected ({len(scenarios)} scenarios, --campaign {args.campaign})",
               file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    ids = [s.display_id for s in out]
+    for sid in ids:
+        if ids.count(sid) > 1:
+            print(f"error: scenario {sid!r} is selected twice", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
     return out
 
 
@@ -266,7 +272,8 @@ def cmd_analyze(args) -> int:
 
     ``--baseline`` overrides the configured baseline.  A missing input, a
     ``--config`` file that does not load and a baseline absent from the
-    rows are usage errors.
+    rows are usage errors; a row whose server task clock is not positive
+    is a schema error.
     """
     from . import analytics
     from .config import AnalysisConfig, load_config
@@ -296,7 +303,6 @@ def cmd_analyze(args) -> int:
         )
         return EXIT_USAGE
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = analytics.run_all(rows, out_dir, cfg, warn=lambda m: print(f"warning: {m}"))
     _emit_plots(rows, results, out_dir)
     lines = ["handshake latency and placement report", "=" * 40, ""]
@@ -385,7 +391,8 @@ def build_parser() -> _Parser:
     _add_selection(p)
     p.add_argument("--seed", default=DEFAULT_SEED, help="hex (or raw) provisioning seed")
     p.add_argument("--out", default="pki")
-    p.add_argument("--jobs", type=int, help="processes, this one included (default: cpu count)")
+    p.add_argument("--jobs", type=lambda text: _parse_count(text, 1),
+                   help="processes, this one included (default: cpu count)")
     p.add_argument("--now", type=int, default=pki.DEFAULT_NOW, help="issuance epoch seconds")
     p.set_defaults(func=cmd_provision)
 

@@ -38,6 +38,11 @@ class AnalysisConfig:
     # materially slower; same-regime jitter pairs are not evidence
     counterexample_min_latency_ratio: float = 2.0
 
+    def __post_init__(self):
+        """Every configuration, loaded from a file or built, has a positive price."""
+        if self.price_per_cpu_hour <= 0:
+            raise ValueError(f"price_per_cpu_hour: must be positive, not {self.price_per_cpu_hour}")
+
 
 # Field-name prefixes that config files spell with a dot: ``regime.server_bound_ratio``.
 _DOTTED_GROUPS = ("regime", "plausibility")

@@ -1,8 +1,12 @@
+import hashlib
+import os
 import struct
 from collections import deque
+from pathlib import Path
 
 import pytest
 
+import pqchainlab
 from pqchainlab import handshake as hs
 from pqchainlab import pki
 from pqchainlab.bench import read_master_summary
@@ -52,6 +56,23 @@ def pump(client, server, tamper=None):
                 results[side], progressed = stop.value, True
         assert progressed, "both flows wait for a frame"
     return results[0], results[1], frames
+
+
+def subprocess_env(**overrides) -> dict:
+    """This environment, with this checkout's ``pqchainlab`` importable."""
+    path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **overrides)
+
+
+def reencoded(cert: pki.CertificateRecord, key=None, **changes) -> pki.CertificateRecord:
+    """``cert`` with ``changes`` to its TBS fields, signed again by ``key`` when given
+    (else carrying ``cert``'s signature).  The record is built, not decoded, so it may
+    hold what decoding refuses, such as version 2."""
+    fields = {**{name: getattr(cert, name) for name, _ in pki.TBS_FIELDS}, **changes}
+    tbs = pki.encode_tbs(**fields)
+    signature = cert.signature if key is None else backend.sign(key, hashlib.sha256(tbs).digest())
+    return pki.CertificateRecord(**fields, signature=signature,
+                                 encoded=pki.encode_certificate(tbs, signature))
 
 
 def run_handshake(hierarchy, kex, policy=pki.ServedChainPolicy.MIRROR, tamper=None, trust=None):

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +16,18 @@ from pqchainlab import claims
 from pqchainlab.bench import SchemaError, read_master_summary
 from pqchainlab.config import AnalysisConfig, load_config
 
+from conftest import subprocess_env
+
 
 @pytest.fixture(scope="module")
 def cfg():
     return AnalysisConfig()
+
+
+@pytest.fixture(scope="module")
+def tables(fixture_rows, cfg):
+    """Every table of the reference rows under the default configuration."""
+    return an.compute_tables(fixture_rows, cfg)
 
 
 def _unreproduced(rows, table, metric=None):
@@ -65,12 +76,12 @@ class TestNormalize:
 class TestCampaignA:
     test_published_ratios = _published("campaignA_pairs")
 
-    def test_missing_pair_raises(self, fixture_rows):
-        without_slh = [
-            r for r in fixture_rows if r.scenario_id != "x25519__leaf_slhdsashake192s"
-        ]
-        with pytest.raises(KeyError):
-            an.campaign_a_pairs(without_slh)
+    def test_missing_member_skipped_with_warning(self, fixture_rows):
+        rows = [r for r in fixture_rows if r.scenario_id != "x25519__leaf_slhdsashake192s"]
+        warnings = []
+        pairs = an.campaign_a_pairs(rows, warn=warnings.append)
+        assert [p.tls_group for p in pairs] == ["x25519mlkem768"]
+        assert warnings == ["campaign A pair 'x25519' skipped: missing member"]
 
 
 class TestPlacementSummary:
@@ -83,7 +94,7 @@ class TestPlacementSummary:
             if r.placement_class.all_ml
         ]
         base_id = "x25519mlkem768__ml_root__ml_int__ml_leaf"
-        table = an.placement_summary(all_ml_rows, base_id)
+        table = an.placement_summary(all_ml_rows, an.normalize_to_baseline(all_ml_rows, base_id))
         assert len(table) == 1
         global_mean = sum(r.mean_ms for r in all_ml_rows) / len(all_ml_rows)
         assert table[0].mean_elapsed_ms == pytest.approx(global_mean)
@@ -213,23 +224,23 @@ class TestRegimes:
 
 
 class TestCapacity:
-    def test_published_values(self, fixture_rows, cfg):
+    def test_published_values(self, fixture_rows, tables):
         assert not _unreproduced(fixture_rows, "capacity")
         # the median leaf-SLH multiplier is published but is no single cell
         multipliers = sorted(
             c.infrastructure_multiplier_needed
-            for c in an.capacity_model(fixture_rows, cfg.baseline_id)
+            for c in tables["capacity"]
             if c.conceptual_perf_group == "leaf_slh"
         )
         assert multipliers[len(multipliers) // 2] == pytest.approx(2500.28, rel=0.005)
 
-    def test_retained_times_multiplier_is_one(self, fixture_rows, cfg):
-        for row in an.capacity_model(fixture_rows, cfg.baseline_id):
+    def test_retained_times_multiplier_is_one(self, tables):
+        for row in tables["capacity"]:
             product = row.capacity_retained_vs_baseline * row.infrastructure_multiplier_needed
             assert product == pytest.approx(1.0, abs=1e-12)
 
-    def test_vcpu_hour_is_3600x(self, fixture_rows, cfg):
-        for row in an.capacity_model(fixture_rows, cfg.baseline_id):
+    def test_vcpu_hour_is_3600x(self, tables):
+        for row in tables["capacity"]:
             assert row.handshakes_per_vcpu_hour == pytest.approx(
                 3600 * row.handshakes_per_core_second
             )
@@ -238,8 +249,8 @@ class TestCapacity:
 class TestEconomics:
     test_published_values = _published("economics")
 
-    def test_unit_identities(self, fixture_rows, cfg):
-        for row in an.economic_model(fixture_rows, cfg):
+    def test_unit_identities(self, tables, cfg):
+        for row in tables["economics"]:
             assert row.cpu_hours_per_million == pytest.approx(
                 row.server_cpu_seconds_per_handshake * 1e6 / 3600
             )
@@ -249,15 +260,20 @@ class TestEconomics:
 
     test_published_service_class_figures = _published("service_classes")
 
-    def test_monthly_is_30x_daily(self, fixture_rows, cfg):
-        eco = an.economic_model(fixture_rows, cfg)
-        for row in an.service_class_table(eco, cfg):
+    def test_monthly_is_30x_daily(self, tables):
+        for row in tables["service_classes"]:
             assert row.mean_monthly_cost == pytest.approx(30 * row.mean_daily_cost)
             assert row.mean_annual_cost == pytest.approx(365 * row.mean_daily_cost)
 
-    def test_bad_price_rejected(self, fixture_rows):
-        with pytest.raises(ValueError):
-            an.economic_model(fixture_rows, dataclasses.replace(AnalysisConfig(), price_per_cpu_hour=0))
+    def test_bad_price_rejected(self, tmp_path):
+        # the configuration refuses a price that is not positive, so no table sees one
+        for price in (0, -0.04):
+            with pytest.raises(ValueError, match="price_per_cpu_hour: must be positive"):
+                AnalysisConfig(price_per_cpu_hour=price)
+        path = tmp_path / "analysis.cfg"
+        path.write_text("price_per_cpu_hour = 0\n")
+        with pytest.raises(ValueError, match="price_per_cpu_hour: must be positive"):
+            load_config(path)
 
 
 class TestPlausibility:
@@ -347,6 +363,14 @@ def test_analysis_tables_match_golden_digest(tmp_path, fixture_rows, cfg):
         for path in paths:
             digest.update(path.name.encode() + b"\n" + path.read_bytes())
     assert digest.hexdigest() == GOLDEN_TABLES_SHA256
+
+
+def test_reference_tables_demo_runs():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "04_reference_tables.py"
+    out = subprocess.run([sys.executable, str(demo)], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "leaf-only contrast (campaign A)" in out.stdout
 
 
 def test_pairings_and_claims_ignore_row_order(fixture_rows):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import os
 import platform
 
@@ -80,6 +82,16 @@ def test_out_of_range_counts_are_usage_errors(capsys, command, counts, message):
     assert error == f"argument {message}\n"
 
 
+@pytest.mark.parametrize("jobs, message", [("0", "must be at least 1, not 0"),
+                                           ("-3", "must be at least 1, not -3"),
+                                           ("x", "not an integer: 'x'")])
+def test_out_of_range_jobs_is_a_usage_error(capsys, jobs, message):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(["provision", "--jobs", jobs])
+    assert err.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"\nerror: argument --jobs: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["provision", "bench"])
 def test_select_and_campaign_are_exclusive(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as err:
@@ -109,6 +121,29 @@ def test_scenarios_file_that_does_not_load(tmp_path, capsys, command, text, reas
     assert err.value.code == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: --scenarios {path}: ") and reason in line, line
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [
+        ["--select", "x25519__leaf_mldsa65", "x25519__leaf_mldsa65"],
+        ["--select", "x25519__ml_root__ml_leaf", "x25519__leaf_mldsa65"],  # one hierarchy
+        ["--scenarios", "twice.json"],
+    ],
+    ids=["same_id", "two_spellings", "scenarios_file"],
+)
+@pytest.mark.parametrize("command", ["provision", "bench"])
+def test_selecting_a_scenario_twice_is_a_usage_error(tmp_path, capsys, command, selection):
+    entry = {"scenario_id": "x25519__leaf_mldsa65", "campaign": "A"}
+    (tmp_path / "twice.json").write_text(json.dumps([entry, entry]))
+    selection = [str(tmp_path / a) if a.endswith(".json") else a for a in selection]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        main([command, *selection, "--out", str(out)])
+    assert err.value.code == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: scenario 'x25519__leaf_mldsa65' is selected twice"
+    assert not out.exists()
 
 
 def test_provision_and_bench_small(tmp_path):
@@ -314,7 +349,7 @@ def test_analyze_missing_baseline(tmp_path):
 
 def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
     argv = ["analyze", "--fixture", "paper", "--out", str(tmp_path / "x")]
-    for key, value in (("bogus", "1"), ("price_per_cpu_hour", "abc"),
+    for key, value in (("bogus", "1"), ("price_per_cpu_hour", "abc"), ("price_per_cpu_hour", "0"),
                        ("service_class.medium_api", "many")):
         config = tmp_path / "analysis.cfg"
         config.write_text(f"{key} = {value}\n")
@@ -330,6 +365,34 @@ def test_analyze_missing_input_is_a_usage_error(tmp_path, capsys):
     assert main(["analyze", "--input", str(missing), "--out", str(tmp_path / "x")]) == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: --input {missing}: "), line
+
+
+def _analyze_changed_fixture(tmp_path, scenario_id, **changes) -> int:
+    """``analyze`` over the reference rows with ``changes`` to one row, into ``tmp_path/out``."""
+    rows = bench.read_master_summary(fixture_path())
+    path = tmp_path / "changed.csv"
+    write_rows([dataclasses.replace(r, **changes) if r.scenario_id == scenario_id else r
+                for r in rows], path)
+    return main(["analyze", "--input", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_analyze_zero_client_clock(tmp_path):
+    """A client below the CPU clock's tick reads 0, as ``bench.aggregate`` writes it."""
+    code = _analyze_changed_fixture(tmp_path, "x25519__leaf_mldsa65", client_task_ms=0.0,
+                                    client_over_elapsed=0.0, srv_cli_ratio=math.inf)
+    assert code == EXIT_OK
+    with open(tmp_path / "out" / "campaignA_pairs.csv", newline="") as f:
+        pairs = {p["tls_group"]: p for p in csv.DictReader(f)}
+    assert pairs["x25519"]["client_taskclock_ratio"] == "inf"
+    assert pairs["x25519mlkem768"]["client_taskclock_ratio"] != "inf"
+
+
+def test_analyze_non_positive_server_clock_is_a_schema_error(tmp_path, capsys):
+    code = _analyze_changed_fixture(tmp_path, "mlkem768__ml_root__ml_leaf", server_task_ms=0.0)
+    assert code == EXIT_SCHEMA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: mlkem768__ml_root__ml_leaf: server task clock 0.0 ms is not positive"
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_schema_mismatch(tmp_path):

@@ -3,26 +3,20 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.asymmetric import mldsa as pyca_mldsa
 
-import pqchainlab
 from pqchainlab.crypto import backend, mldsa, openssl, slhdsa
 from pqchainlab.scenario import KexMode, SigFamily
+
+from conftest import subprocess_env
 
 ML_SEED = bytes(range(32))
 SLH_SEED = bytes(range(72))
 ML, SLH = SigFamily.ML_DSA_65, SigFamily.SLH_DSA_SHAKE_192S
 LIBCRYPTO = os.environ.get(backend.LIBCRYPTO_ENV) or backend.DEFAULT_LIBCRYPTO
-
-
-def _subprocess_env(**overrides) -> dict:
-    """This environment, with this checkout's ``pqchainlab`` importable."""
-    path = [str(Path(pqchainlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +116,7 @@ class TestMlDsa:
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env=_subprocess_env(PQCHAINLAB_LIBCRYPTO=""),
+            env=subprocess_env(PQCHAINLAB_LIBCRYPTO=""),
             capture_output=True,
             text=True,
             timeout=120,
@@ -315,7 +309,7 @@ def test_openssl_provisioning_loads_neither_numpy_nor_mldsa(libcrypto, tmp_path)
     argv = ["provision", "--jobs", "1", "--out", str(tmp_path), "--select", *ids]
     out = subprocess.run(
         [sys.executable, "-c", code, watched, *argv],
-        env=_subprocess_env(PQCHAINLAB_LIBCRYPTO=libcrypto.path),
+        env=subprocess_env(PQCHAINLAB_LIBCRYPTO=libcrypto.path),
         capture_output=True,
         text=True,
         timeout=120,
@@ -349,7 +343,7 @@ def test_set_up_imports_load_only_what_commands_run():
     ]
     out = subprocess.run(
         [sys.executable, "-c", code, *deferred],
-        env=_subprocess_env(),
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=120,

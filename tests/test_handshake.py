@@ -6,7 +6,7 @@ import struct
 import threading
 
 import pytest
-from conftest import pump, run_handshake
+from conftest import pump, reencoded, run_handshake
 
 from pqchainlab import handshake as hs
 from pqchainlab import pki
@@ -157,10 +157,7 @@ def test_short_ca_key_is_a_chain_rejection(ml_d3_hierarchy):
         if msg_type != hs.MSG_CERTIFICATE:
             return body
         leaf, inter = hs.decode_certificate_msg(body)
-        fields = {name: getattr(inter, name) for name, _ in pki.TBS_FIELDS}
-        tbs = pki.encode_tbs(**{**fields, "public_key": inter.public_key[:-1]})
-        short = pki.decode_certificate(pki.encode_certificate(tbs, inter.signature))
-        return hs.encode_certificate_msg([leaf, short])
+        return hs.encode_certificate_msg([leaf, reencoded(inter, public_key=inter.public_key[:-1])])
 
     with pytest.raises(hs.ChainRejected) as err:
         run_handshake(h, KexMode.HYBRID, tamper=tamper)
@@ -175,11 +172,7 @@ def test_served_version_2_leaf_is_malformed(ml_d3_hierarchy):
     served by the server itself: the client refuses to decode it."""
     _, h = ml_d3_hierarchy
     (leaf, leaf_key), (_, inter_key) = h.leaf, h.chain[1]
-    fields = {**{name: getattr(leaf, name) for name, _ in pki.TBS_FIELDS}, "version": 2}
-    tbs = pki.encode_tbs(**fields)
-    signature = backend.sign(inter_key, hashlib.sha256(tbs).digest())
-    v2 = pki.CertificateRecord(**fields, signature=signature,
-                               encoded=pki.encode_certificate(tbs, signature))
+    v2 = reencoded(leaf, inter_key, version=2)
     served = pki.HierarchyMaterial(h.scenario_id, (*h.chain[:-1], (v2, leaf_key)))
     with pytest.raises(hs.Malformed, match="unknown certificate version 2"):
         run_handshake(served, KexMode.HYBRID)

@@ -29,7 +29,7 @@ from pqchainlab.pki import (
 )
 from pqchainlab.scenario import SigFamily
 
-from conftest import SEED
+from conftest import SEED, reencoded
 
 
 @given(
@@ -232,10 +232,7 @@ def test_validate_algorithm_mismatch_before_signature(ml_d3_hierarchy):
     _, h = ml_d3_hierarchy
     (leaf, _), (inter, inter_key) = h.leaf, h.chain[1]
     # the leaf claims an SLH-DSA signature from its ML-DSA issuer
-    fields = {name: getattr(leaf, name) for name, _ in pki.TBS_FIELDS}
-    tbs = encode_tbs(**{**fields, "sig_alg_id": SigFamily.SLH_DSA_SHAKE_192S.alg_id})
-    signature = backend.sign(inter_key, hashlib.sha256(tbs).digest())
-    claimed = decode_certificate(encode_certificate(tbs, signature))
+    claimed = reencoded(leaf, inter_key, sig_alg_id=SigFamily.SLH_DSA_SHAKE_192S.alg_id)
     trust = pki.client_trust_store(h, ServedChainPolicy.MIRROR)
     with pytest.raises(PathError) as err:
         validate_chain([claimed, inter], trust, DEFAULT_NOW)
