@@ -60,15 +60,17 @@ def normalize_to_baseline(
     """Each row's latency, bytes read and server CPU over the baseline row's, in input
     order: the one place that resolves the baseline and divides by it.
 
-    Every row's server task clock must be positive, since capacity and cost divide by
-    it; a row whose clock is not is a :class:`SchemaError`.
+    Every row's server task clock, mean latency and bytes read must be positive, since
+    the ratios, capacity and cost divide by them and the plots take their logarithm; a
+    row with one that is not, NaN included, is a :class:`SchemaError`.
     """
     base = resolve_id(rows, baseline_id)
     for row in rows:
-        if row.server_task_ms <= 0:
-            raise SchemaError(
-                f"{row.scenario_id}: server task clock {row.server_task_ms} ms is not positive"
-            )
+        for value, what in ((row.server_task_ms, "server task clock {} ms"),
+                            (row.mean_ms, "mean latency {} ms"),
+                            (row.bytes_read, "bytes read {}")):
+            if not value > 0:
+                raise SchemaError(f"{row.scenario_id}: {what.format(value)} is not positive")
     return [
         NormalizedRow(
             scenario_id=row.scenario_id,

@@ -11,12 +11,10 @@ is in flight at any moment.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
 import signal
-import socket
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -238,6 +236,8 @@ def run_scenario(
     scenario: Scenario, pki_dir: Path | str, cfg: Optional[BenchConfig] = None
 ) -> list[HandshakeSample]:
     """Execute one scenario's campaign and return post-warmup samples."""
+    import socket
+
     cfg = cfg or BenchConfig()
     total = _runs_for(scenario, cfg)[1] + cfg.warmup
     scenario_dir = Path(pki_dir) / scenario.display_id
@@ -373,13 +373,15 @@ def write_rows(rows: Sequence, path: Path | str) -> None:
 
 class SchemaError(Exception):
     """Input rows do not fit the master-summary schema: a column is missing, a cell
-    does not read, or a value is one that analysis cannot use (a server task clock
-    that is not positive)."""
+    does not read, or a value is one that analysis cannot use (a server task clock,
+    mean latency or bytes read that is not positive)."""
 
 
 def read_master_summary(path: Path | str) -> list[RunAggregate]:
     """The rows of a master-summary CSV; an empty file, a missing column or an
-    unreadable cell is a :class:`SchemaError`."""
+    unreadable cell, a malformed scenario id included, is a :class:`SchemaError`."""
+    import csv
+
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
@@ -399,6 +401,7 @@ def read_master_summary(path: Path | str) -> list[RunAggregate]:
                         kwargs[field.name] = float(raw)
                     else:
                         kwargs[field.name] = raw
+                parse_scenario_id(kwargs["scenario_id"] or "")  # as the placement properties do
                 rows.append(RunAggregate(**kwargs))
         except (TypeError, ValueError) as exc:  # a short row's cells read None
             raise SchemaError(f"{path}: {exc}") from exc

@@ -8,10 +8,8 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import importlib.resources
 import json
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -87,6 +85,8 @@ def write_manifest(
     issuance: Optional[dict],
     **extra,
 ) -> None:
+    import platform
+
     uname = platform.uname()  # platform.platform() would also run `uname -p` for the processor
     manifest = {
         "tool": "pqchainlab",
@@ -231,6 +231,8 @@ def cmd_bench(args) -> int:
 
 
 def fixture_path() -> Path:
+    import importlib.resources
+
     return Path(str(importlib.resources.files("pqchainlab") / "fixtures" / "paper_fixture.csv"))
 
 
@@ -272,8 +274,8 @@ def cmd_analyze(args) -> int:
 
     ``--baseline`` overrides the configured baseline.  A missing input, a
     ``--config`` file that does not load and a baseline absent from the
-    rows are usage errors; a row whose server task clock is not positive
-    is a schema error.
+    rows are usage errors; a malformed scenario id, or a server task clock,
+    mean latency or bytes read that is not positive, is a schema error.
     """
     from . import analytics
     from .config import AnalysisConfig, load_config
@@ -450,8 +452,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     workdir = os.environ.get("PQCHAINLAB_DIR")
     if workdir:
-        Path(workdir).mkdir(parents=True, exist_ok=True)
-        os.chdir(workdir)
+        try:
+            Path(workdir).mkdir(parents=True, exist_ok=True)
+            os.chdir(workdir)
+        except OSError as exc:  # a regular file of that name, or no permission
+            print(f"error: PQCHAINLAB_DIR {workdir}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     return _exit_code(args.func, args)
 
 

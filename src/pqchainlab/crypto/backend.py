@@ -18,6 +18,13 @@ Both give the same bytes.  Issuance stays on ``python`` when
 ``PQCHAINLAB_LIBCRYPTO`` is empty, when the library does not load or
 when it lacks either algorithm.  The library is never searched for.
 
+``cryptography`` is imported at the first ML-DSA keypair, ML-DSA
+verification, key share or :class:`Signer`, and all three of its modules
+(ML-DSA, ML-KEM, X25519) load then.  Loading a hierarchy with an ML-DSA
+key, or building the server's :class:`Signer`, therefore loads all of
+them before a handshake starts, while commands that only analyze never
+load ``cryptography``.
+
 :mod:`~pqchainlab.crypto.mldsa`, and with it NumPy, is imported when
 :func:`issuer` resolves issuance to ``python``, so processes that never
 issue a certificate there do not load it.  Likewise
@@ -32,14 +39,13 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric import mldsa as _pyca_mldsa
-from cryptography.hazmat.primitives.asymmetric import mlkem as _pyca_mlkem
-from cryptography.hazmat.primitives.asymmetric import x25519 as _pyca_x25519
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..scenario import KexMode, SigFamily
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric import mlkem, x25519
 
 RandomBytes = Callable[[int], bytes]
 
@@ -106,6 +112,18 @@ class KeyPair:
             )
 
 
+@functools.cache
+def _pyca() -> SimpleNamespace:
+    """``cryptography``'s ``mldsa``, ``mlkem`` and ``x25519`` modules and its
+    ``InvalidSignature``, imported together at the first call, so that the
+    call that loads one has loaded them all."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import mldsa, mlkem, x25519
+
+    return SimpleNamespace(mldsa=mldsa, mlkem=mlkem, x25519=x25519,
+                           InvalidSignature=InvalidSignature)
+
+
 @functools.lru_cache(maxsize=None)
 def issuer():
     """This process's issuer: the library at ``$PQCHAINLAB_LIBCRYPTO`` if it loads, else Python."""
@@ -132,7 +150,7 @@ def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
         raise CryptoError(f"{alg.value} seed must be {params.seed_len} bytes")
     try:
         if alg is SigFamily.ML_DSA_65:
-            key = _pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes(seed)
+            key = _pyca().mldsa.MLDSA65PrivateKey.from_seed_bytes(seed)
             return KeyPair(alg, key.public_key().public_bytes_raw(), seed)
         return KeyPair(alg, *issuer().slh_keygen(seed))
     except CryptoError:
@@ -187,8 +205,9 @@ class Signer:
     def __init__(self, keypair: KeyPair):
         self.algorithm = keypair.algorithm
         self._keypair = keypair
+        pyca = _pyca()  # for any family, so that the server's key exchange imports nothing
         if keypair.algorithm is SigFamily.ML_DSA_65:
-            self._ml = _pyca_mldsa.MLDSA65PrivateKey.from_seed_bytes(keypair.secret_key)
+            self._ml = pyca.mldsa.MLDSA65PrivateKey.from_seed_bytes(keypair.secret_key)
             self._slh = None
         else:
             from . import slhdsa
@@ -226,12 +245,11 @@ def verify(alg: SigFamily, public_key: bytes, message: bytes, signature: bytes) 
     if (len(public_key), len(signature)) != (params.public_key_len, params.signature_len):
         return False
     if alg is SigFamily.ML_DSA_65:
+        pyca = _pyca()
         try:
-            _pyca_mldsa.MLDSA65PublicKey.from_public_bytes(public_key).verify(
-                signature, message
-            )
+            pyca.mldsa.MLDSA65PublicKey.from_public_bytes(public_key).verify(signature, message)
             return True
-        except InvalidSignature:
+        except pyca.InvalidSignature:
             return False
         except Exception as exc:
             raise CryptoError(f"verification failed: {exc}") from exc
@@ -266,19 +284,20 @@ def server_share_len(mode: KexMode) -> int:
 @dataclass
 class ClientKexState:
     mode: KexMode
-    x25519_key: Optional[_pyca_x25519.X25519PrivateKey]
-    mlkem_key: Optional[_pyca_mlkem.MLKEM768PrivateKey]
+    x25519_key: Optional[x25519.X25519PrivateKey]
+    mlkem_key: Optional[mlkem.MLKEM768PrivateKey]
 
 
 def client_share(mode: KexMode, rng: RandomBytes = os.urandom) -> tuple[bytes, ClientKexState]:
     """Ephemeral client key share: X25519 public and/or ML-KEM encapsulation key."""
+    pyca = _pyca()
     xk = mk = None
     share = b""
     if mode in (KexMode.CLASSICAL, KexMode.HYBRID):
-        xk = _pyca_x25519.X25519PrivateKey.from_private_bytes(rng(32))
+        xk = pyca.x25519.X25519PrivateKey.from_private_bytes(rng(32))
         share += xk.public_key().public_bytes_raw()
     if mode in (KexMode.HYBRID, KexMode.PURE_PQC):
-        mk = _pyca_mlkem.MLKEM768PrivateKey.from_seed_bytes(rng(64))
+        mk = pyca.mlkem.MLKEM768PrivateKey.from_seed_bytes(rng(64))
         share += mk.public_key().public_bytes_raw()
     return share, ClientKexState(mode, xk, mk)
 
@@ -289,19 +308,20 @@ def server_respond_kex(
     """Server side, on fresh randomness: returns (server share, classical_ss, kem_ss)."""
     if len(client_share_bytes) != client_share_len(mode):
         raise CryptoError("client key share has wrong length")
+    pyca = _pyca()
     share = b""
     classical_ss = kem_ss = None
     offset = 0
     if mode in (KexMode.CLASSICAL, KexMode.HYBRID):
-        peer = _pyca_x25519.X25519PublicKey.from_public_bytes(
+        peer = pyca.x25519.X25519PublicKey.from_public_bytes(
             client_share_bytes[:X25519_PUBLIC_LEN]
         )
         offset = X25519_PUBLIC_LEN
-        xk = _pyca_x25519.X25519PrivateKey.from_private_bytes(os.urandom(32))
+        xk = pyca.x25519.X25519PrivateKey.from_private_bytes(os.urandom(32))
         classical_ss = xk.exchange(peer)
         share += xk.public_key().public_bytes_raw()
     if mode in (KexMode.HYBRID, KexMode.PURE_PQC):
-        ek = _pyca_mlkem.MLKEM768PublicKey.from_public_bytes(client_share_bytes[offset:])
+        ek = pyca.mlkem.MLKEM768PublicKey.from_public_bytes(client_share_bytes[offset:])
         kem_ss, ct = ek.encapsulate()
         share += ct
     return share, classical_ss, kem_ss
@@ -316,7 +336,7 @@ def client_complete_kex(
     classical_ss = kem_ss = None
     offset = 0
     if state.x25519_key is not None:
-        peer = _pyca_x25519.X25519PublicKey.from_public_bytes(
+        peer = _pyca().x25519.X25519PublicKey.from_public_bytes(
             server_share_bytes[:X25519_PUBLIC_LEN]
         )
         classical_ss = state.x25519_key.exchange(peer)

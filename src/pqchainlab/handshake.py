@@ -34,17 +34,19 @@ import hashlib
 import hmac
 import json
 import os
-import socket
 import struct
 import time
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from . import pki
 from .crypto import backend
 from .crypto.backend import CryptoError, RandomBytes, Signer
 from .pki import CertificateRecord, HierarchyMaterial, PathError, ServedChainPolicy
 from .scenario import KexMode
+
+if TYPE_CHECKING:
+    import socket
 
 MSG_CLIENT_HELLO = 1
 MSG_SERVER_HELLO = 2
@@ -365,6 +367,8 @@ def run_server(
     when ``control`` can no longer be written.  Returns the number of
     completed handshakes.
     """
+    import socket
+
     ctrl_file = control.makefile("w")
     completed = 0
     index = 0

@@ -19,6 +19,7 @@ from pqchainlab.cli import (
     fixture_path,
     main,
 )
+from pqchainlab.config import BASELINE_ID
 from pqchainlab.crypto.backend import CryptoError, issuance_backend
 from pqchainlab.scenario import find_scenario
 
@@ -388,17 +389,34 @@ def test_analyze_zero_client_clock(tmp_path):
 
 
 def test_analyze_non_positive_server_clock_is_a_schema_error(tmp_path, capsys):
-    code = _analyze_changed_fixture(tmp_path, "mlkem768__ml_root__ml_leaf", server_task_ms=0.0)
-    assert code == EXIT_SCHEMA
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line == "error: mlkem768__ml_root__ml_leaf: server task clock 0.0 ms is not positive"
-    assert not (tmp_path / "out").exists()
+    """A server clock, mean latency or bytes read that is not positive (NaN included), on
+    the baseline row or another, exits 4 with one line and writes nothing."""
+    other, base = "mlkem768__ml_root__ml_leaf", BASELINE_ID
+    for sid, changes, what in [
+        (other, {"server_task_ms": 0.0}, "server task clock 0.0 ms"),
+        (other, {"mean_ms": 0.0}, "mean latency 0.0 ms"),
+        (other, {"mean_ms": -1.0}, "mean latency -1.0 ms"),
+        (other, {"mean_ms": math.nan}, "mean latency nan ms"),
+        (base, {"mean_ms": 0.0}, "mean latency 0.0 ms"),
+        (base, {"bytes_read": 0.0}, "bytes read 0.0"),
+    ]:
+        assert _analyze_changed_fixture(tmp_path, sid, **changes) == EXIT_SCHEMA, changes
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {sid}: {what} is not positive"
+        assert not (tmp_path / "out").exists()
 
 
-def test_analyze_schema_mismatch(tmp_path):
+def test_analyze_schema_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("scenario_id,mean_ms\na,1\n")
     assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    capsys.readouterr()
+    bad.write_text(fixture_path().read_text().replace("\nmlkem768__ml_root__ml_leaf,",
+                                                      "\nnot_a_scenario,"))
+    assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {bad}: malformed scenario id 'not_a_scenario'", line
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_requires_input(tmp_path):
@@ -453,6 +471,16 @@ def test_env_var_working_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("PQCHAINLAB_DIR", str(tmp_path / "work"))
     assert main(["gen-scenarios"]) == EXIT_OK
     assert (tmp_path / "work" / "scenarios.json").exists()
+
+
+def test_env_var_working_directory_that_is_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "work").write_text("")
+    monkeypatch.setenv("PQCHAINLAB_DIR", str(tmp_path / "work"))
+    assert main(["gen-scenarios"]) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: PQCHAINLAB_DIR {tmp_path / 'work'}: "), line
+    assert not (tmp_path / "scenarios.json").exists()
 
 
 def _mismatched_key(blob):

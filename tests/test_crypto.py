@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.asymmetric import mldsa as pyca_mldsa
 
+from pqchainlab import pki
 from pqchainlab.crypto import backend, mldsa, openssl, slhdsa
 from pqchainlab.scenario import KexMode, SigFamily
 
@@ -304,7 +305,7 @@ def test_openssl_provisioning_loads_neither_numpy_nor_mldsa(libcrypto, tmp_path)
         "assert cli.main(sys.argv[2:]) == 0\n"
         "print(*sorted(m for m in sys.argv[1].split(',') if m in sys.modules))\n"
     )
-    watched = "numpy,pqchainlab.crypto.mldsa,pqchainlab.crypto.openssl,subprocess"
+    watched = "numpy,pqchainlab.crypto.mldsa,pqchainlab.crypto.openssl,socket,subprocess"
     ids = ["x25519mlkem768__ml_root__ml_int__slh_leaf", "mlkem768__ml_root__ml_leaf"]
     argv = ["provision", "--jobs", "1", "--out", str(tmp_path), "--select", *ids]
     out = subprocess.run(
@@ -340,6 +341,10 @@ def test_set_up_imports_load_only_what_commands_run():
         "ctypes",
         "pqchainlab.crypto.openssl",
         "pqchainlab.claims",
+        "cryptography",
+        "socket",
+        "csv",
+        "platform",
     ]
     out = subprocess.run(
         [sys.executable, "-c", code, *deferred],
@@ -350,6 +355,50 @@ def test_set_up_imports_load_only_what_commands_run():
         check=True,
     )
     assert out.stdout.split() == []
+
+
+def test_analysis_commands_load_neither_cryptography_nor_socket(tmp_path):
+    code = (
+        "import sys\n"
+        "from pqchainlab import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m for m in ('cryptography', 'socket') if m in sys.modules))\n"
+    )
+    for argv in (["analyze", "--fixture", "paper", "--out", str(tmp_path / "analysis")],
+                 ["reproduce", "--fixture-only", "--out", str(tmp_path / "reproduce")]):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "", argv
+
+
+def test_loading_an_ml_hierarchy_loads_every_pyca_module(tmp_path, ml_d2_hierarchy):
+    """The first use of ``cryptography`` loads its ML-DSA, ML-KEM and X25519 modules together,
+    so a handshake after ``load_hierarchy`` imports none of them."""
+    s, h = ml_d2_hierarchy
+    pki.write_hierarchy(h, tmp_path / s.display_id)
+    code = (
+        "import sys\n"
+        "from pqchainlab import pki\n"
+        "watched = [f'cryptography.hazmat.primitives.asymmetric.{m}' for m in sys.argv[2:]]\n"
+        "print(sum(m in sys.modules for m in watched))\n"
+        "pki.load_hierarchy(sys.argv[1])\n"
+        "print(sum(m in sys.modules for m in watched))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / s.display_id), "mldsa", "mlkem", "x25519"],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "3"]
 
 
 def test_backend_sizes_match_slhdsa():
