@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import signal
 import sys
@@ -379,7 +380,7 @@ class SchemaError(Exception):
 
 def read_master_summary(path: Path | str) -> list[RunAggregate]:
     """The rows of a master-summary CSV; an empty file, a missing column or an
-    unreadable cell, a malformed scenario id included, is a :class:`SchemaError`."""
+    unreadable cell, a malformed scenario id or a NaN included, is a :class:`SchemaError`."""
     import csv
 
     with open(path, newline="") as f:
@@ -397,8 +398,10 @@ def read_master_summary(path: Path | str) -> list[RunAggregate]:
                     raw = record[field.name]
                     if field.type == "int":
                         kwargs[field.name] = int(float(raw))
-                    elif field.type == "float":
+                    elif field.type == "float":  # inf is a ratio over a zero clock; NaN is no value
                         kwargs[field.name] = float(raw)
+                        if math.isnan(kwargs[field.name]):
+                            raise ValueError(f"{record['scenario_id']}: {field.name} is NaN")
                     else:
                         kwargs[field.name] = raw
                 parse_scenario_id(kwargs["scenario_id"] or "")  # as the placement properties do

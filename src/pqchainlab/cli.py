@@ -1,8 +1,8 @@
 """Command-line surface: provision PKI, run campaigns, analyze them.
 
 Exit codes: 0 success, 1 usage error, 2 crypto failure or a corrupt
-certificate or key file, 3 transport or benchmark failure, 4 input schema
-mismatch.
+certificate, key or PKI manifest file, 3 transport or benchmark failure,
+4 input schema mismatch.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from . import __version__, bench, pki
 from .bench import ScenarioFailed, SchemaError
 from .crypto import backend
 from .crypto.backend import CryptoError
-from .scenario import (
-    Scenario,
-    SigFamily,
-    enumerate_matrix,
-    find_scenario,
-    read_scenarios,
-    resolve_id,
-    write_scenarios,
-)
+from .scenario import Scenario, SigFamily, enumerate_matrix, find_scenario, resolve_id
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,22 +101,14 @@ def write_manifest(
 
 
 def _select(args) -> list[Scenario]:
-    """The scenarios of ``--scenarios`` that ``--select`` or ``--campaign`` names; a
-    scenario selected twice is a usage error, as each has one output directory."""
-    try:
-        scenarios = read_scenarios(args.scenarios) if args.scenarios else enumerate_matrix()
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"error: --scenarios {args.scenarios}: {reason}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    """The inventory's scenarios that ``--select`` or ``--campaign`` names, all 17 when
+    neither does; a scenario selected twice is a usage error, as each has one output
+    directory."""
+    out = enumerate_matrix()
     if args.select:
-        out = [find_scenario(scenarios, sid) for sid in args.select]
-    else:
-        out = [s for s in scenarios if not args.campaign or s.campaign == args.campaign]
-    if not out:
-        print(f"error: no scenario selected ({len(scenarios)} scenarios, --campaign {args.campaign})",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        out = [find_scenario(out, sid) for sid in args.select]
+    elif args.campaign:
+        out = [s for s in out if s.campaign == args.campaign]
     ids = [s.display_id for s in out]
     for sid in ids:
         if ids.count(sid) > 1:
@@ -134,15 +118,6 @@ def _select(args) -> list[Scenario]:
 
 
 # --- commands ------------------------------------------------------------
-
-
-def cmd_gen_scenarios(args) -> int:
-    scenarios = enumerate_matrix()
-    if args.campaign:
-        scenarios = [s for s in scenarios if s.campaign == args.campaign]
-    write_scenarios(scenarios, args.out)
-    print(f"wrote {len(scenarios)} scenarios to {args.out}")
-    return EXIT_OK
 
 
 def _provision_cost(scenario: Scenario) -> float:
@@ -207,11 +182,19 @@ def _measure(scenarios: list[Scenario], pki_dir, cfg: bench.BenchConfig, out_dir
         print(f"{agg.scenario_id}: {agg.n_runs} runs, mean {agg.mean_ms:.3f} ms, "
               f"srv/cli {agg.srv_cli_ratio:.3f} ({seconds:.1f}s)")
 
-    aggregates, _, steal = bench.run_campaign(scenarios, pki_dir, cfg, out_dir, progress)
-    try:  # the PKI's manifest names the seed, the issuance epoch and the issuance backend
-        provisioned = json.loads((Path(pki_dir) / "manifest.json").read_text())
+    # The PKI's manifest names the seed, the issuance epoch and the issuance
+    # backend; it is read before any handshake, so that one that does not
+    # load stops the run as a corrupt certificate or key file does.
+    path = Path(pki_dir) / "manifest.json"
+    try:
+        provisioned = json.loads(path.read_text())
     except FileNotFoundError:
         provisioned = {}
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise pki.CodecError(f"{path}: {exc}") from None
+    if not isinstance(provisioned, dict):
+        raise pki.CodecError(f"{path}: not a JSON object")
+    aggregates, _, steal = bench.run_campaign(scenarios, pki_dir, cfg, out_dir, progress)
     counts = [bench._runs_for(s, cfg) for s in scenarios]  # (BenchConfig field, runs)
     write_manifest(
         out_dir / "manifest.json", provisioned.get("seed_hex"), scenarios, cfg.policy.value,
@@ -328,6 +311,8 @@ def _check(name: str, passed: bool, detail: str) -> bool:
 
 
 def cmd_reproduce(args) -> int:
+    import tempfile
+
     from . import analytics, claims
     from .config import load_config
 
@@ -345,7 +330,6 @@ def cmd_reproduce(args) -> int:
     print("== live desk-scale pipeline ==")
     scenarios = enumerate_matrix()
     seed = _parse_seed(args.seed)
-    write_scenarios(scenarios, out_dir / "scenarios.json")
     pki_dir = out_dir / "pki"
     code = provision(scenarios, seed, pki_dir, None, args.now)
     if code != EXIT_OK:
@@ -358,13 +342,12 @@ def cmd_reproduce(args) -> int:
 
     print("== determinism spot-check ==")
     probe = find_scenario(scenarios, "x25519mlkem768__ml_root__ml_int__ml_leaf")
-    h1 = pki.build_hierarchy(probe, seed, now=args.now)
-    h2 = pki.build_hierarchy(probe, seed, now=args.now)
-    ok &= _check(
-        "re-provision byte identity",
-        all(a.encoded == b.encoded for a, b in zip(h1.certificates(), h2.certificates())),
-        "certificate bytes identical for identical seed",
-    )
+    provisioned = pki_dir / probe.display_id
+    with tempfile.TemporaryDirectory() as rebuilt:
+        pki.write_hierarchy(pki.build_hierarchy(probe, seed, now=args.now), rebuilt)
+        files = [{f.name: f.read_bytes() for f in Path(d).iterdir()} for d in (rebuilt, provisioned)]
+    ok &= _check("re-provision byte identity", files[0] == files[1],
+                 f"every .cert and .key of {provisioned} rebuilt byte for byte from the seed")
 
     summary = bench.read_master_summary(out_dir / "results" / "master_summary.csv")
     analytics.run_all(summary, out_dir / "analysis", cfg)
@@ -373,7 +356,6 @@ def cmd_reproduce(args) -> int:
 
 
 def _add_selection(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenarios", help="scenarios.json (defaults to the built-in inventory)")
     pick = p.add_mutually_exclusive_group()
     pick.add_argument("--select", nargs="*", default=[], help="scenario ids")
     pick.add_argument("--campaign", choices=CAMPAIGNS)
@@ -383,11 +365,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pqchainlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pqchainlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-scenarios", help="write the experiment inventory")
-    p.add_argument("--out", default="scenarios.json")
-    p.add_argument("--campaign", choices=CAMPAIGNS)
-    p.set_defaults(func=cmd_gen_scenarios)
 
     p = sub.add_parser("provision", help="generate keys and certificates")
     _add_selection(p)

@@ -11,10 +11,8 @@ contrast, D: KEX contrast) together cover 17 distinct scenarios.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
@@ -245,28 +243,3 @@ def find_scenario(scenarios: list[Scenario], scenario_id: str) -> Scenario:
     """Look up by display id, then by canonical id (:func:`resolve_id`)."""
     return resolve_id(scenarios, scenario_id, key=lambda s: s.display_id)
 
-
-def write_scenarios(scenarios: list[Scenario], path: Path | str) -> None:
-    payload = [
-        {
-            "scenario_id": s.display_id,
-            "canonical_id": compose_scenario_id(s.kex, s.placement),
-            "kex_mode": s.kex.name.lower(),
-            "tls_group": s.kex.value,
-            "depth": s.depth,
-            "root_family": s.placement.root.value,
-            "intermediate_family": (
-                s.placement.intermediate.value if s.placement.intermediate else None
-            ),
-            "leaf_family": s.placement.leaf.value,
-            "campaign": s.campaign,
-        }
-        for s in scenarios
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def read_scenarios(path: Path | str) -> list[Scenario]:
-    """The scenarios of a :func:`write_scenarios` file; only ``scenario_id`` and
-    ``campaign`` are read, so other keys (older files' run counts) are ignored."""
-    return [Scenario(d["scenario_id"], d["campaign"]) for d in json.loads(Path(path).read_text())]

@@ -365,12 +365,16 @@ def test_analysis_tables_match_golden_digest(tmp_path, fixture_rows, cfg):
     assert digest.hexdigest() == GOLDEN_TABLES_SHA256
 
 
-def test_reference_tables_demo_runs():
-    demo = Path(__file__).resolve().parents[1] / "demos" / "04_reference_tables.py"
+@pytest.mark.parametrize("demo, expected", [
+    ("02_single_handshake.py", "server verified ClientFinished"),
+    ("04_reference_tables.py", "leaf-only contrast (campaign A)"),
+], ids=["02_single_handshake", "04_reference_tables"])
+def test_reference_tables_demo_runs(demo, expected):
+    demo = Path(__file__).resolve().parents[1] / "demos" / demo
     out = subprocess.run([sys.executable, str(demo)], env=subprocess_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert "leaf-only contrast (campaign A)" in out.stdout
+    assert expected in out.stdout
 
 
 def test_pairings_and_claims_ignore_row_order(fixture_rows):

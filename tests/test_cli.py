@@ -1,9 +1,11 @@
+import argparse
 import csv
 import dataclasses
 import json
 import math
 import os
 import platform
+from pathlib import Path
 
 import pytest
 
@@ -24,38 +26,28 @@ from pqchainlab.crypto.backend import CryptoError, issuance_backend
 from pqchainlab.scenario import find_scenario
 
 
-def test_gen_scenarios_default(tmp_path):
-    out = tmp_path / "scenarios.json"
-    assert main(["gen-scenarios", "--out", str(out)]) == EXIT_OK
-    entries = json.loads(out.read_text())
-    assert len(entries) == 17
-    first = out.read_bytes()
-    assert main(["gen-scenarios", "--out", str(out)]) == EXIT_OK
-    assert out.read_bytes() == first  # rerun is byte-identical
-
-
-def test_gen_scenarios_campaign_filter(tmp_path):
-    out = tmp_path / "b.json"
-    assert main(["gen-scenarios", "--out", str(out), "--campaign", "B"]) == EXIT_OK
-    assert len(json.loads(out.read_text())) == 6
+def test_cli_surface():
+    """Each command's option strings: a flag added or removed shows in this test's diff."""
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+               for name, p in commands.items()}
+    assert surface == {
+        "provision": ["--select", "--campaign", "--seed", "--out", "--jobs", "--now"],
+        "bench": ["--select", "--campaign", "--pki", "--out", "--runs", "--warmup", "--policy", "--now"],
+        "analyze": ["--input", "--fixture", "--out", "--config", "--baseline"],
+        "reproduce": ["--out", "--fixture-only", "--runs", "--warmup", "--seed", "--now"],
+    }
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["gen-scenarios", "--campaign", "Z"])
+        main(["provision", "--campaign", "Z"])
     assert err.value.code == EXIT_USAGE
     # `analyze` writes summary.txt; there is no `report` command
     with pytest.raises(SystemExit) as err:
         main(["report", "--fixture", "paper"])
     assert err.value.code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage: pqchainlab ")
-    # a campaign that selects nothing from a scenarios file is reported
-    only_b = tmp_path / "b.json"
-    assert main(["gen-scenarios", "--out", str(only_b), "--campaign", "B"]) == EXIT_OK
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "--scenarios", str(only_b), "--campaign", "A", "--out", str(tmp_path / "r")])
-    assert err.value.code == EXIT_USAGE
-    assert "error: no scenario selected" in capsys.readouterr().err
     # an id that names no scenario is printed without extra quotes
     assert main(["provision", "--select", "bogus_id", "--out", str(tmp_path / "p")]) == EXIT_USAGE
     expected = "error: scenario 'bogus_id' not present in input"
@@ -103,41 +95,15 @@ def test_select_and_campaign_are_exclusive(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "text, reason",
-    [
-        ("[{", "Expecting property name"),
-        ('[{"scenario_id": "x25519__leaf_mldsa65"}]', "missing key 'campaign'"),
-        ('[{"scenario_id": "x25519__ml_root", "campaign": "A"}]', "malformed scenario id"),
-        (None, "No such file"),
-    ],
-    ids=["bad_json", "missing_key", "malformed_id", "missing_file"],
-)
-@pytest.mark.parametrize("command", ["provision", "bench"])
-def test_scenarios_file_that_does_not_load(tmp_path, capsys, command, text, reason):
-    path = tmp_path / "scenarios.json"
-    if text is not None:
-        path.write_text(text)
-    with pytest.raises(SystemExit) as err:
-        main([command, "--scenarios", str(path), "--out", str(tmp_path / "o")])
-    assert err.value.code == EXIT_USAGE
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: --scenarios {path}: ") and reason in line, line
-
-
-@pytest.mark.parametrize(
     "selection",
     [
         ["--select", "x25519__leaf_mldsa65", "x25519__leaf_mldsa65"],
         ["--select", "x25519__ml_root__ml_leaf", "x25519__leaf_mldsa65"],  # one hierarchy
-        ["--scenarios", "twice.json"],
     ],
-    ids=["same_id", "two_spellings", "scenarios_file"],
+    ids=["same_id", "two_spellings"],
 )
 @pytest.mark.parametrize("command", ["provision", "bench"])
 def test_selecting_a_scenario_twice_is_a_usage_error(tmp_path, capsys, command, selection):
-    entry = {"scenario_id": "x25519__leaf_mldsa65", "campaign": "A"}
-    (tmp_path / "twice.json").write_text(json.dumps([entry, entry]))
-    selection = [str(tmp_path / a) if a.endswith(".json") else a for a in selection]
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as err:
         main([command, *selection, "--out", str(out)])
@@ -186,6 +152,33 @@ def test_provision_and_bench_small(tmp_path):
     assert manifest["thread_clock_tick_ms"] == bench.thread_clock_tick_ms()
     assert (manifest["runs"], manifest["runs_heavy"], manifest["warmup"]) == ([5], [], [1])
     assert manifest["policy"] == "mirror"
+
+
+@pytest.mark.parametrize("text, reason", [("{bad", "Expecting property name"), ("[]", "not a JSON object"),
+                                          (None, None)], ids=["not_json", "not_an_object", "missing"])
+def test_pki_manifest_is_read_before_any_handshake(tmp_path, capsys, text, reason):
+    """A PKI manifest that is not a JSON object stops `bench` as a corrupt certificate
+    does, before anything is measured; a missing one records its fields as null."""
+    sid = "x25519mlkem768__ml_root__ml_leaf"
+    pki_dir, results = tmp_path / "pki", tmp_path / "results"
+    assert main(["provision", "--select", sid, "--out", str(pki_dir)]) == EXIT_OK
+    manifest = pki_dir / "manifest.json"
+    if text is None:
+        manifest.unlink()
+    else:
+        manifest.write_text(text)
+    capsys.readouterr()
+    argv = ["bench", "--select", sid, "--pki", str(pki_dir), "--out", str(results)]
+    code = main([*argv, "--runs", "1", "--warmup", "0"])
+    if text is None:
+        assert code == EXIT_OK
+        recorded = json.loads((results / "manifest.json").read_text())
+        assert [recorded[k] for k in ("seed_hex", "issuance_epoch", "issuance_backend")] == [None] * 3
+        return
+    assert code == EXIT_CRYPTO
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {manifest}: ") and reason in line, line
+    assert not results.exists()
 
 
 def test_bench_full_policy_depth3_serves_three(tmp_path):
@@ -389,14 +382,13 @@ def test_analyze_zero_client_clock(tmp_path):
 
 
 def test_analyze_non_positive_server_clock_is_a_schema_error(tmp_path, capsys):
-    """A server clock, mean latency or bytes read that is not positive (NaN included), on
-    the baseline row or another, exits 4 with one line and writes nothing."""
+    """A server clock, mean latency or bytes read that is not positive, on the baseline
+    row or another, exits 4 with one line and writes nothing."""
     other, base = "mlkem768__ml_root__ml_leaf", BASELINE_ID
     for sid, changes, what in [
         (other, {"server_task_ms": 0.0}, "server task clock 0.0 ms"),
         (other, {"mean_ms": 0.0}, "mean latency 0.0 ms"),
         (other, {"mean_ms": -1.0}, "mean latency -1.0 ms"),
-        (other, {"mean_ms": math.nan}, "mean latency nan ms"),
         (base, {"mean_ms": 0.0}, "mean latency 0.0 ms"),
         (base, {"bytes_read": 0.0}, "bytes read 0.0"),
     ]:
@@ -417,6 +409,14 @@ def test_analyze_schema_mismatch(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: {bad}: malformed scenario id 'not_a_scenario'", line
     assert not (tmp_path / "out").exists()
+    # NaN in any float cell, as in a column that no positivity check reads; inf is legal
+    # (test_analyze_zero_client_clock)
+    for sid, column in [("x25519__leaf_mldsa65", "client_task_ms"), ("x25519__leaf_mldsa65", "p95_ms"),
+                        ("mlkem768__ml_root__ml_leaf", "mean_ms")]:
+        assert _analyze_changed_fixture(tmp_path, sid, **{column: math.nan}) == EXIT_SCHEMA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {tmp_path / 'changed.csv'}: {sid}: {column} is NaN", line
+        assert not (tmp_path / "out").exists()
 
 
 def test_analyze_requires_input(tmp_path):
@@ -461,6 +461,19 @@ def test_reproduce_live_stage_on_two_scenarios(tmp_path, monkeypatch, capfd, mat
     assert captured.out.splitlines()[-1] == "FAIL"
     assert "Traceback" not in captured.out + captured.err
 
+    # the spot-check compares the files that were measured: a probe provisioned
+    # from another seed fails it
+    write = pki.write_hierarchy
+
+    def write_probe_from_another_seed(h, directory):
+        if Path(directory) == out / "pki" / ids[0]:
+            h = pki.build_hierarchy(find_scenario(matrix, ids[0]), b"another seed")
+        write(h, directory)
+
+    monkeypatch.setattr(pki, "write_hierarchy", write_probe_from_another_seed)
+    assert main(argv) == EXIT_TRANSPORT
+    assert "FAIL  re-provision byte identity" in capfd.readouterr().out
+
 
 def test_fixture_ships_with_package():
     assert fixture_path().exists()
@@ -469,18 +482,18 @@ def test_fixture_ships_with_package():
 def test_env_var_working_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # restores the cwd that main() changes
     monkeypatch.setenv("PQCHAINLAB_DIR", str(tmp_path / "work"))
-    assert main(["gen-scenarios"]) == EXIT_OK
-    assert (tmp_path / "work" / "scenarios.json").exists()
+    assert main(["analyze", "--fixture", "paper"]) == EXIT_OK
+    assert (tmp_path / "work" / "analysis" / "summary.txt").exists()
 
 
 def test_env_var_working_directory_that_is_a_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "work").write_text("")
     monkeypatch.setenv("PQCHAINLAB_DIR", str(tmp_path / "work"))
-    assert main(["gen-scenarios"]) == EXIT_USAGE
+    assert main(["analyze", "--fixture", "paper"]) == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: PQCHAINLAB_DIR {tmp_path / 'work'}: "), line
-    assert not (tmp_path / "scenarios.json").exists()
+    assert not (tmp_path / "analysis").exists()
 
 
 def _mismatched_key(blob):

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import pytest
@@ -14,12 +13,9 @@ from pqchainlab.scenario import (
     classify_placement,
     compose_scenario_id,
     conceptual_perf_group,
-    enumerate_matrix,
     find_scenario,
     parse_scenario_id,
-    read_scenarios,
     resolve_id,
-    write_scenarios,
 )
 
 ML = SigFamily.ML_DSA_65
@@ -150,16 +146,6 @@ def test_conceptual_groups(matrix):
     assert groups == {"all_ml": 5, "root_slh_leaf_ml": 3, "leaf_slh": 9}
 
 
-def test_scenarios_json_roundtrip(tmp_path, matrix):
-    path = tmp_path / "scenarios.json"
-    write_scenarios(matrix, path)
-    first = path.read_bytes()
-    loaded = read_scenarios(path)
-    assert loaded == matrix
-    write_scenarios(loaded, path)
-    assert path.read_bytes() == first
-
-
 def test_matrix_is_the_published_inventory(matrix, fixture_rows):
     # the reference table's 17 rows, in its order: ids, campaigns, KEX modes, depths
     assert [(s.campaign, s.display_id) for s in matrix] == [
@@ -173,14 +159,3 @@ def test_matrix_is_the_published_inventory(matrix, fixture_rows):
         (s.campaign, s.display_id) for s in matrix
     )
 
-
-def test_scenarios_json_with_run_counts_loads(tmp_path, matrix):
-    """Files written before the counts left the inventory carry ``runs`` and
-    ``warmup_runs`` per scenario; they load to the same inventory."""
-    path = tmp_path / "scenarios.json"
-    write_scenarios(matrix, path)
-    entries = json.loads(path.read_text())
-    for entry in entries:
-        entry.update(runs=300 if entry["leaf_family"] == SLH.value else 10000, warmup_runs=20)
-    path.write_text(json.dumps(entries, indent=2) + "\n")
-    assert read_scenarios(path) == enumerate_matrix()
