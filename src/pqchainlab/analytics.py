@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -163,56 +163,70 @@ def _resolved_pairs(
             warn(f"{describe(*labels)} skipped: missing member")
 
 
+# A pair column's value is a function of the pair's labels and its first and second member;
+# a ratio is the second's value over the first's and a delta the second's minus the first's.
+def _first(attr: str):
+    return lambda labels, first, second: getattr(first, attr)
+
+
+def _second(attr: str):
+    return lambda labels, first, second: getattr(second, attr)
+
+
+def _ratio(attr: str):
+    return lambda labels, first, second: ratio(getattr(second, attr), getattr(first, attr))
+
+
+def _delta(attr: str):
+    return lambda labels, first, second: getattr(second, attr) - getattr(first, attr)
+
+
+def _label(index: int):
+    return lambda labels, first, second: labels[index]
+
+
+def _pair_table(name: str, pair_map, columns, describe):
+    """A frozen row type ``name`` with one field per ``(field, type, value)`` column, and
+    the table function ``(rows, warn=…)`` that fills one row per pair of ``pair_map``
+    whose members both resolve, each field from ``value(labels, first, second)``.  Types
+    are spelled as strings, as ``from __future__ import annotations`` spells every other
+    row type's, so the fields read the same to ``dataclasses.fields``."""
+    row_type = make_dataclass(name, [(field, type_) for field, type_, _ in columns],
+                              frozen=True, namespace={"__module__": __name__})
+
+    def table(rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None) -> list:
+        """One row per pair of the map whose members both resolve; ``warn`` gets one line
+        per pair skipped."""
+        return [
+            row_type(*(value(labels, first, second) for _, _, value in columns))
+            for labels, first, second in _resolved_pairs(rows, pair_map, warn, describe)
+        ]
+
+    return row_type, table
+
+
 CAMPAIGN_A_PAIR_MAP = [
     ("x25519", "x25519__leaf_mldsa65", "x25519__leaf_slhdsashake192s"),
     ("x25519mlkem768", "x25519mlkem768__leaf_mldsa65", "x25519mlkem768__leaf_slhdsashake192s"),
 ]
 
-
-@dataclass(frozen=True)
-class LeafPairRow:
-    kex_mode: str
-    tls_group: str
-    ml_elapsed_ms: float
-    slh_elapsed_ms: float
-    latency_ratio: float
-    ml_bytes_read: float
-    slh_bytes_read: float
-    bytes_read_ratio: float
-    ml_server_task_ms: float
-    slh_server_task_ms: float
-    server_taskclock_ratio: float
-    ml_client_task_ms: float
-    slh_client_task_ms: float
-    client_taskclock_ratio: float
-
-
-def campaign_a_pairs(
-    rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
-) -> list[LeafPairRow]:
-    """SLH/ML ratios for the leaf-only contrast, per KEX mode."""
-    pairs = _resolved_pairs(
-        rows, CAMPAIGN_A_PAIR_MAP, warn, lambda group: f"campaign A pair {group!r}"
-    )
-    return [
-        LeafPairRow(
-            kex_mode=ml.kex_mode,
-            tls_group=group,
-            ml_elapsed_ms=ml.mean_ms,
-            slh_elapsed_ms=slh.mean_ms,
-            latency_ratio=ratio(slh.mean_ms, ml.mean_ms),
-            ml_bytes_read=ml.bytes_read,
-            slh_bytes_read=slh.bytes_read,
-            bytes_read_ratio=ratio(slh.bytes_read, ml.bytes_read),
-            ml_server_task_ms=ml.server_task_ms,
-            slh_server_task_ms=slh.server_task_ms,
-            server_taskclock_ratio=ratio(slh.server_task_ms, ml.server_task_ms),
-            ml_client_task_ms=ml.client_task_ms,
-            slh_client_task_ms=slh.client_task_ms,
-            client_taskclock_ratio=ratio(slh.client_task_ms, ml.client_task_ms),
-        )
-        for (group,), ml, slh in pairs
-    ]
+# SLH/ML ratios for the leaf-only contrast, per KEX mode.
+LeafPairRow, campaign_a_pairs = _pair_table("LeafPairRow", CAMPAIGN_A_PAIR_MAP, [
+    ("kex_mode", "str", _first("kex_mode")),
+    ("tls_group", "str", _label(0)),
+    ("ml_elapsed_ms", "float", _first("mean_ms")),
+    ("slh_elapsed_ms", "float", _second("mean_ms")),
+    ("latency_ratio", "float", _ratio("mean_ms")),
+    ("ml_bytes_read", "float", _first("bytes_read")),
+    ("slh_bytes_read", "float", _second("bytes_read")),
+    ("bytes_read_ratio", "float", _ratio("bytes_read")),
+    ("ml_server_task_ms", "float", _first("server_task_ms")),
+    ("slh_server_task_ms", "float", _second("server_task_ms")),
+    ("server_taskclock_ratio", "float", _ratio("server_task_ms")),
+    ("ml_client_task_ms", "float", _first("client_task_ms")),
+    ("slh_client_task_ms", "float", _second("client_task_ms")),
+    ("client_taskclock_ratio", "float", _ratio("client_task_ms")),
+], lambda group: f"campaign A pair {group!r}")
 
 
 DEPTH_PAIR_MAP = [
@@ -244,43 +258,20 @@ DEPTH_PAIR_MAP = [
     ),
 ]
 
-
-@dataclass(frozen=True)
-class DepthPairRow:
-    pair_label: str
-    depth2_id: str
-    depth3_id: str
-    depth2_elapsed_ms: float
-    depth3_elapsed_ms: float
-    delta_elapsed_ms: float
-    latency_ratio: float
-    delta_bytes_read: float
-    delta_chain_bytes_unique: int
-    delta_server_task_ms: float
-    server_taskclock_ratio: float
-
-
-def depth_pairs(
-    rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
-) -> list[DepthPairRow]:
-    """Depth-2 vs depth-3 contrasts over the fixed comparable-family map."""
-    pairs = _resolved_pairs(rows, DEPTH_PAIR_MAP, warn, lambda label: f"depth pair {label!r}")
-    return [
-        DepthPairRow(
-            pair_label=label,
-            depth2_id=d2.scenario_id,
-            depth3_id=d3.scenario_id,
-            depth2_elapsed_ms=d2.mean_ms,
-            depth3_elapsed_ms=d3.mean_ms,
-            delta_elapsed_ms=d3.mean_ms - d2.mean_ms,
-            latency_ratio=ratio(d3.mean_ms, d2.mean_ms),
-            delta_bytes_read=d3.bytes_read - d2.bytes_read,
-            delta_chain_bytes_unique=d3.chain_bytes_unique - d2.chain_bytes_unique,
-            delta_server_task_ms=d3.server_task_ms - d2.server_task_ms,
-            server_taskclock_ratio=ratio(d3.server_task_ms, d2.server_task_ms),
-        )
-        for (label,), d2, d3 in pairs
-    ]
+# Depth-2 vs depth-3 contrasts over the fixed comparable-family map.
+DepthPairRow, depth_pairs = _pair_table("DepthPairRow", DEPTH_PAIR_MAP, [
+    ("pair_label", "str", _label(0)),
+    ("depth2_id", "str", _first("scenario_id")),
+    ("depth3_id", "str", _second("scenario_id")),
+    ("depth2_elapsed_ms", "float", _first("mean_ms")),
+    ("depth3_elapsed_ms", "float", _second("mean_ms")),
+    ("delta_elapsed_ms", "float", _delta("mean_ms")),
+    ("latency_ratio", "float", _ratio("mean_ms")),
+    ("delta_bytes_read", "float", _delta("bytes_read")),
+    ("delta_chain_bytes_unique", "int", _delta("chain_bytes_unique")),
+    ("delta_server_task_ms", "float", _delta("server_task_ms")),
+    ("server_taskclock_ratio", "float", _ratio("server_task_ms")),
+], lambda label: f"depth pair {label!r}")
 
 
 KEX_PAIR_MAP = [
@@ -316,53 +307,24 @@ KEX_PAIR_MAP = [
     ),
 ]
 
-
-@dataclass(frozen=True)
-class KexPairRow:
-    comparison_type: str
-    family_label: str
-    from_kex_mode: str
-    to_kex_mode: str
-    leaf_family: str
-    depth: int
-    elapsed_mean_from_ms: float
-    elapsed_mean_to_ms: float
-    latency_ratio_to_over_from: float
-    bytes_read_from: float
-    bytes_read_to: float
-    bytes_read_ratio_to_over_from: float
-    server_task_from_ms: float
-    server_task_to_ms: float
-    server_task_ratio_to_over_from: float
-
-
-def kex_pairs(
-    rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None
-) -> list[KexPairRow]:
-    """Classical->hybrid and hybrid->pure contrasts on comparable chains."""
-    pairs = _resolved_pairs(
-        rows, KEX_PAIR_MAP, warn, lambda comparison, label: f"kex pair {label!r} ({comparison})"
-    )
-    return [
-        KexPairRow(
-            comparison_type=comparison,
-            family_label=label,
-            from_kex_mode=src.kex_mode,
-            to_kex_mode=dst.kex_mode,
-            leaf_family=src.placement.leaf.value,
-            depth=src.depth,
-            elapsed_mean_from_ms=src.mean_ms,
-            elapsed_mean_to_ms=dst.mean_ms,
-            latency_ratio_to_over_from=ratio(dst.mean_ms, src.mean_ms),
-            bytes_read_from=src.bytes_read,
-            bytes_read_to=dst.bytes_read,
-            bytes_read_ratio_to_over_from=ratio(dst.bytes_read, src.bytes_read),
-            server_task_from_ms=src.server_task_ms,
-            server_task_to_ms=dst.server_task_ms,
-            server_task_ratio_to_over_from=ratio(dst.server_task_ms, src.server_task_ms),
-        )
-        for (comparison, label), src, dst in pairs
-    ]
+# Classical->hybrid and hybrid->pure contrasts on comparable chains.
+KexPairRow, kex_pairs = _pair_table("KexPairRow", KEX_PAIR_MAP, [
+    ("comparison_type", "str", _label(0)),
+    ("family_label", "str", _label(1)),
+    ("from_kex_mode", "str", _first("kex_mode")),
+    ("to_kex_mode", "str", _second("kex_mode")),
+    ("leaf_family", "str", lambda labels, first, second: first.placement.leaf.value),
+    ("depth", "int", _first("depth")),
+    ("elapsed_mean_from_ms", "float", _first("mean_ms")),
+    ("elapsed_mean_to_ms", "float", _second("mean_ms")),
+    ("latency_ratio_to_over_from", "float", _ratio("mean_ms")),
+    ("bytes_read_from", "float", _first("bytes_read")),
+    ("bytes_read_to", "float", _second("bytes_read")),
+    ("bytes_read_ratio_to_over_from", "float", _ratio("bytes_read")),
+    ("server_task_from_ms", "float", _first("server_task_ms")),
+    ("server_task_to_ms", "float", _second("server_task_ms")),
+    ("server_task_ratio_to_over_from", "float", _ratio("server_task_ms")),
+], lambda comparison, label: f"kex pair {label!r} ({comparison})")
 
 
 # --- correlations ------------------------------------------------------------

@@ -380,7 +380,8 @@ class SchemaError(Exception):
 
 def read_master_summary(path: Path | str) -> list[RunAggregate]:
     """The rows of a master-summary CSV; an empty file, a missing column or an
-    unreadable cell, a malformed scenario id or a NaN included, is a :class:`SchemaError`."""
+    unreadable cell, a malformed scenario id, a NaN or an int cell that is not integral
+    included, is a :class:`SchemaError`."""
     import csv
 
     with open(path, newline="") as f:
@@ -396,8 +397,12 @@ def read_master_summary(path: Path | str) -> list[RunAggregate]:
                 kwargs = {}
                 for field in fields(RunAggregate):
                     raw = record[field.name]
-                    if field.type == "int":
-                        kwargs[field.name] = int(float(raw))
+                    if field.type == "int":  # a count or a depth: 2.7, NaN and inf are refused
+                        value = float(raw)
+                        if not value.is_integer():
+                            raise ValueError(
+                                f"{record['scenario_id']}: {field.name} {raw} is not an integer")
+                        kwargs[field.name] = int(value)
                     elif field.type == "float":  # inf is a ratio over a zero clock; NaN is no value
                         kwargs[field.name] = float(raw)
                         if math.isnan(kwargs[field.name]):

@@ -89,13 +89,16 @@ def upper_layer_bound(rows) -> list[Check]:
 
 def effective_exposure(rows) -> list[Check]:
     """Mirrored serving sends two certificates: at depth 3 an ML-DSA intermediate takes the
-    SLH-DSA root's place, so the handshake reads fewer bytes and runs faster."""
+    SLH-DSA root's place, so the handshake reads fewer bytes and runs faster.  The detail
+    also prints both rows' client and server task clocks, which show the side that wins."""
     d2, d3 = resolve_id(rows, SLH_ROOT_D2), resolve_id(rows, SLH_ROOT_D3)
     return [
         Check("effective exposure direction",
               d3.bytes_read < d2.bytes_read and d3.mean_ms < d2.mean_ms,
               f"depth 3 reads {d3.bytes_read:.0f} < {d2.bytes_read:.0f} bytes "
-              f"at {d3.mean_ms / d2.mean_ms:.3f}x the depth-2 latency"),
+              f"at {d3.mean_ms / d2.mean_ms:.3f}x the depth-2 latency; task clocks: "
+              f"d2 client {d2.client_task_ms:.2f} / server {d2.server_task_ms:.2f} ms, "
+              f"d3 client {d3.client_task_ms:.2f} / server {d3.server_task_ms:.2f} ms"),
         Check("mirrored chain exposure", all(r.chain_len_unique == 2 for r in rows),
               "chain_len_unique == 2 for all scenarios"),
     ]

@@ -75,8 +75,11 @@ def load_config(path: Path | str | None) -> AnalysisConfig:
         key = key.strip()
         value = value.strip()
         try:
-            if key.startswith("service_class."):
-                classes[key.split(".", 1)[1]] = int(float(value))
+            if key.startswith("service_class."):  # handshakes per day: 1e6, not 100.5
+                count = float(value)
+                if not count.is_integer():
+                    raise ValueError(f"must be a whole number, not {value}")
+                classes[key.split(".", 1)[1]] = int(count)
             elif key in scalars:
                 name = scalars[key]
                 updates[name] = type(getattr(cfg, name))(value)

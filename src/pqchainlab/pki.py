@@ -324,9 +324,16 @@ def validate_chain(
     the parent's subject, its signature algorithm the parent's key
     algorithm, and its signature must verify under the parent's key.  A
     served root therefore gets its self-signature checked against the
-    stored anchor, which keeps the validation cost proportional to the
-    signature families actually exposed on the wire.  Raises
-    :class:`PathError`; returns None on success.
+    stored anchor.  Raises :class:`PathError`; returns None on success.
+
+    That check is the lab's rule.  RFC 5280 §6.1 takes the trust anchor as
+    an input, not as a certificate to verify, and OpenSSL 3.5.6 accepts a
+    corrupt self-signature in ``-CAfile`` unless ``-check_ss_sig`` is set.
+    The reference rows fit a client without it (R² 0.996 with no term for
+    a served root's self-signature), while in the lab it is one
+    pure-Python SLH-DSA verification on the SLH-root depth-2 client: depth
+    3 over depth 2 mean latency read 0.54–0.65 with the check and
+    1.13–1.36 without it.  README's "Path validation" note has the probes.
     """
     if not served:
         raise ValueError("served chain is empty")

@@ -75,6 +75,15 @@ def test_live_claims_over_reference_rows(fixture_rows, scenario_id, changes, fai
     assert {c.name for c in claims.evaluate(claims.LIVE, rows) if not c.passed} == failing
 
 
+def test_effective_exposure_detail_shows_each_side(fixture_rows):
+    """Criterion 5's detail prints both rows' client and server task clocks: in the
+    reference rows depth 3 wins on the server, while the clients cost the same."""
+    direction, _ = claims.effective_exposure(fixture_rows)
+    assert direction.passed
+    assert "d2 client 1.92 / server 1.91 ms" in direction.detail, direction.detail
+    assert "d3 client 1.93 / server 0.67 ms" in direction.detail, direction.detail
+
+
 @pytest.mark.parametrize(
     "scenario_id, latency_factor, failing",
     [

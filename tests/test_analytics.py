@@ -76,13 +76,6 @@ class TestNormalize:
 class TestCampaignA:
     test_published_ratios = _published("campaignA_pairs")
 
-    def test_missing_member_skipped_with_warning(self, fixture_rows):
-        rows = [r for r in fixture_rows if r.scenario_id != "x25519__leaf_slhdsashake192s"]
-        warnings = []
-        pairs = an.campaign_a_pairs(rows, warn=warnings.append)
-        assert [p.tls_group for p in pairs] == ["x25519mlkem768"]
-        assert warnings == ["campaign A pair 'x25519' skipped: missing member"]
-
 
 class TestPlacementSummary:
     test_published_class_stats = _published("placement_summary")
@@ -114,13 +107,6 @@ class TestDepthPairs:
         assert pairs[0].delta_elapsed_ms == 0.0
         assert pairs[0].delta_bytes_read == 0.0
 
-    def test_missing_member_skipped_with_warning(self, fixture_rows):
-        rows = [r for r in fixture_rows if r.scenario_id != "x25519mlkem768__slh_root__ml_leaf"]
-        warnings = []
-        pairs = an.depth_pairs(rows, warn=warnings.append)
-        assert len(pairs) == 5
-        assert any("SLH root + ML leaf" in w for w in warnings)
-
 
 class TestKexPairs:
     def test_published_values(self, fixture_rows):
@@ -133,6 +119,24 @@ class TestKexPairs:
         clone = dataclasses.replace(src, scenario_id="x25519mlkem768__leaf_mldsa65")
         rows = an.kex_pairs([src, clone], warn=lambda _m: None)
         assert rows[0].latency_ratio_to_over_from == 1.0
+
+
+@pytest.mark.parametrize("table, missing, dropped, warning", [
+    (an.campaign_a_pairs, "x25519__leaf_slhdsashake192s", 0,
+     "campaign A pair 'x25519' skipped: missing member"),
+    (an.depth_pairs, "x25519mlkem768__slh_root__ml_leaf", 1,
+     "depth pair 'SLH root + ML leaf' skipped: missing member"),
+    (an.kex_pairs, "x25519__leaf_mldsa65", 0,
+     "kex pair 'ML root / ML leaf (depth 2)' (classical_vs_hybrid) skipped: missing member"),
+], ids=["campaignA_pairs", "depth_pairs", "kex_pairs"])
+def test_missing_member_skipped_with_warning(fixture_rows, table, missing, dropped, warning):
+    """A pair whose member is absent is warned about and skipped; every other pair is kept
+    as it is in the full table."""
+    warnings = []
+    pairs = table([r for r in fixture_rows if r.scenario_id != missing], warn=warnings.append)
+    assert warnings == [warning]
+    full = table(fixture_rows)
+    assert pairs == full[:dropped] + full[dropped + 1:]
 
 
 class TestCorrelations:

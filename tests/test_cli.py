@@ -21,7 +21,7 @@ from pqchainlab.cli import (
     fixture_path,
     main,
 )
-from pqchainlab.config import BASELINE_ID
+from pqchainlab.config import BASELINE_ID, load_config
 from pqchainlab.crypto.backend import CryptoError, issuance_backend
 from pqchainlab.scenario import find_scenario
 
@@ -354,6 +354,22 @@ def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
     assert main([*argv, "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
 
 
+def test_fractional_service_class_is_a_usage_error(tmp_path, capsys):
+    """A service class counts whole handshakes per day: ``1e6`` loads, 100.5 and ``inf`` are
+    usage errors naming the key instead of loading truncated (or crashing)."""
+    config = tmp_path / "analysis.cfg"
+    config.write_text("service_class.small_internal = 1e6\n")
+    assert load_config(config).service_classes["small_internal"] == 1_000_000
+    argv = ["analyze", "--fixture", "paper", "--out", str(tmp_path / "x"), "--config", str(config)]
+    for value in ("100.5", "inf"):
+        config.write_text(f"service_class.small_internal = {value}\n")
+        assert main(argv) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"error: --config {config}: service_class.small_internal: "
+                        f"must be a whole number, not {value}"), line
+        assert not (tmp_path / "x").exists()
+
+
 def test_analyze_missing_input_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["analyze", "--input", str(missing), "--out", str(tmp_path / "x")]) == EXIT_USAGE
@@ -416,6 +432,13 @@ def test_analyze_schema_mismatch(tmp_path, capsys):
         assert _analyze_changed_fixture(tmp_path, sid, **{column: math.nan}) == EXIT_SCHEMA
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"error: {tmp_path / 'changed.csv'}: {sid}: {column} is NaN", line
+        assert not (tmp_path / "out").exists()
+    # an int cell must be integral: a fractional count is not truncated, a NaN is named
+    for column, value, cell in [("n_runs", 2.7, "2.7000"), ("depth", math.nan, "nan")]:
+        sid = "x25519__leaf_mldsa65"
+        assert _analyze_changed_fixture(tmp_path, sid, **{column: value}) == EXIT_SCHEMA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {tmp_path / 'changed.csv'}: {sid}: {column} {cell} is not an integer", line
         assert not (tmp_path / "out").exists()
 
 
