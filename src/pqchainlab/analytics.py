@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from dataclasses import dataclass, fields, make_dataclass
+from statistics import fmean, median
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -29,16 +29,34 @@ from .scenario import (
 )
 
 
+# --- row tables ------------------------------------------------------------------
+
+
+def _row_table(name: str, columns):
+    """A frozen row type ``name`` with one field per ``(field, type, value)`` column, and
+    the maker that builds one row from a context, each field from ``value(*context)``.
+    Types are spelled as strings, as ``from __future__ import annotations`` spells a
+    ``@dataclass``'s, so the fields read the same to ``dataclasses.fields``."""
+    row_type = make_dataclass(name, [(field, type_) for field, type_, _ in columns],
+                              frozen=True, namespace={"__module__": __name__})
+
+    def make(*context):
+        return row_type(*(value(*context) for _, _, value in columns))
+
+    return row_type, make
+
+
+# A per-scenario table's context starts with the scenario's row and, where the table has
+# one, the record derived from that row: its baseline ratios or its capacity row.
+def _row(attr: str):
+    return lambda row, *_: getattr(row, attr)
+
+
+def _derived(attr: str):
+    return lambda row, derived, *_: getattr(derived, attr)
+
+
 # --- normalization -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalizedRow:
-    scenario_id: str
-    slh_position_class: str
-    latency_relative_to_baseline: float
-    bytes_read_relative_to_baseline: float
-    server_cpu_relative_to_baseline: float
 
 
 def slh_position_class(placement: Placement) -> str:
@@ -52,6 +70,21 @@ def slh_position_class(placement: Placement) -> str:
 
 def hierarchy_label(placement: Placement) -> str:
     return " / ".join(f"{family.token.upper()} {name}" for name, family in placement.positions())
+
+
+def _over_baseline(attr: str):
+    return lambda row, base: getattr(row, attr) / getattr(base, attr)
+
+
+# A row's latency, bytes read and server CPU over the baseline row's, from the row and the
+# baseline row.
+NormalizedRow, _normalized_row = _row_table("NormalizedRow", [
+    ("scenario_id", "str", _row("scenario_id")),
+    ("slh_position_class", "str", lambda row, base: slh_position_class(row.placement)),
+    ("latency_relative_to_baseline", "float", _over_baseline("mean_ms")),
+    ("bytes_read_relative_to_baseline", "float", _over_baseline("bytes_read")),
+    ("server_cpu_relative_to_baseline", "float", _over_baseline("server_task_ms")),
+])
 
 
 def normalize_to_baseline(
@@ -71,16 +104,7 @@ def normalize_to_baseline(
                             (row.bytes_read, "bytes read {}")):
             if not value > 0:
                 raise SchemaError(f"{row.scenario_id}: {what.format(value)} is not positive")
-    return [
-        NormalizedRow(
-            scenario_id=row.scenario_id,
-            slh_position_class=slh_position_class(row.placement),
-            latency_relative_to_baseline=row.mean_ms / base.mean_ms,
-            bytes_read_relative_to_baseline=row.bytes_read / base.bytes_read,
-            server_cpu_relative_to_baseline=row.server_task_ms / base.server_task_ms,
-        )
-        for row in rows
-    ]
+    return [_normalized_row(row, base) for row in rows]
 
 
 # --- placement summary ------------------------------------------------------
@@ -89,20 +113,31 @@ def normalize_to_baseline(
 PLACEMENT_CLASSES = tuple(f.name for f in fields(PlacementClass))
 
 
-@dataclass(frozen=True)
-class PlacementSummaryRow:
-    placement_class: str
-    n_scenarios: int
-    mean_elapsed_ms: float
-    median_elapsed_ms: float
-    min_elapsed_ms: float
-    max_elapsed_ms: float
-    mean_latency_vs_baseline: float
-    median_latency_vs_baseline: float
-    mean_bytes_vs_baseline: float
-    mean_server_cpu_vs_baseline: float
-    mean_server_over_elapsed: float
-    mean_client_over_elapsed: float
+# A placement class's context is its name, its scenarios' rows (``members``) and their
+# baseline ratios.
+def _members(stat, attr: str):
+    return lambda class_name, members, ratios: stat([getattr(m, attr) for m in members])
+
+
+def _ratios(stat, attr: str):
+    return lambda class_name, members, ratios: stat([getattr(n, attr) for n in ratios])
+
+
+# Per-class statistics of latency, task clocks and the baseline ratios.
+PlacementSummaryRow, _placement_summary_row = _row_table("PlacementSummaryRow", [
+    ("placement_class", "str", lambda class_name, members, ratios: class_name),
+    ("n_scenarios", "int", lambda class_name, members, ratios: len(members)),
+    ("mean_elapsed_ms", "float", _members(fmean, "mean_ms")),
+    ("median_elapsed_ms", "float", _members(median, "mean_ms")),
+    ("min_elapsed_ms", "float", _members(min, "mean_ms")),
+    ("max_elapsed_ms", "float", _members(max, "mean_ms")),
+    ("mean_latency_vs_baseline", "float", _ratios(fmean, "latency_relative_to_baseline")),
+    ("median_latency_vs_baseline", "float", _ratios(median, "latency_relative_to_baseline")),
+    ("mean_bytes_vs_baseline", "float", _ratios(fmean, "bytes_read_relative_to_baseline")),
+    ("mean_server_cpu_vs_baseline", "float", _ratios(fmean, "server_cpu_relative_to_baseline")),
+    ("mean_server_over_elapsed", "float", _members(fmean, "server_over_elapsed")),
+    ("mean_client_over_elapsed", "float", _members(fmean, "client_over_elapsed")),
+])
 
 
 def placement_summary(
@@ -113,38 +148,8 @@ def placement_summary(
     out = []
     for class_name in PLACEMENT_CLASSES:
         pairs = [(m, n) for m, n in zip(rows, normalized) if getattr(m.placement_class, class_name)]
-        if not pairs:
-            continue
-        members, ratios = zip(*pairs)
-        elapsed = [m.mean_ms for m in members]
-        out.append(
-            PlacementSummaryRow(
-                placement_class=class_name,
-                n_scenarios=len(members),
-                mean_elapsed_ms=statistics.fmean(elapsed),
-                median_elapsed_ms=statistics.median(elapsed),
-                min_elapsed_ms=min(elapsed),
-                max_elapsed_ms=max(elapsed),
-                mean_latency_vs_baseline=statistics.fmean(
-                    n.latency_relative_to_baseline for n in ratios
-                ),
-                median_latency_vs_baseline=statistics.median(
-                    n.latency_relative_to_baseline for n in ratios
-                ),
-                mean_bytes_vs_baseline=statistics.fmean(
-                    n.bytes_read_relative_to_baseline for n in ratios
-                ),
-                mean_server_cpu_vs_baseline=statistics.fmean(
-                    n.server_cpu_relative_to_baseline for n in ratios
-                ),
-                mean_server_over_elapsed=statistics.fmean(
-                    m.server_over_elapsed for m in members
-                ),
-                mean_client_over_elapsed=statistics.fmean(
-                    m.client_over_elapsed for m in members
-                ),
-            )
-        )
+        if pairs:
+            out.append(_placement_summary_row(class_name, *zip(*pairs)))
     return out
 
 
@@ -186,21 +191,15 @@ def _label(index: int):
 
 
 def _pair_table(name: str, pair_map, columns, describe):
-    """A frozen row type ``name`` with one field per ``(field, type, value)`` column, and
-    the table function ``(rows, warn=…)`` that fills one row per pair of ``pair_map``
-    whose members both resolve, each field from ``value(labels, first, second)``.  Types
-    are spelled as strings, as ``from __future__ import annotations`` spells every other
-    row type's, so the fields read the same to ``dataclasses.fields``."""
-    row_type = make_dataclass(name, [(field, type_) for field, type_, _ in columns],
-                              frozen=True, namespace={"__module__": __name__})
+    """The row type that :func:`_row_table` makes of ``columns``, and the table function
+    ``(rows, warn=…)`` that fills one row per pair of ``pair_map`` whose members both
+    resolve, each field from ``value(labels, first, second)``."""
+    row_type, make = _row_table(name, columns)
 
     def table(rows: Sequence[RunAggregate], warn: Callable[[str], None] = lambda _m: None) -> list:
         """One row per pair of the map whose members both resolve; ``warn`` gets one line
         per pair skipped."""
-        return [
-            row_type(*(value(labels, first, second) for _, _, value in columns))
-            for labels, first, second in _resolved_pairs(rows, pair_map, warn, describe)
-        ]
+        return [make(*pair) for pair in _resolved_pairs(rows, pair_map, warn, describe)]
 
     return row_type, table
 
@@ -409,18 +408,20 @@ def correlation_table(rows: Sequence[RunAggregate]) -> list[CorrelationRow]:
 # --- counterexamples -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleRow:
-    rank: int
-    transport_metric: str
-    scenario_more_bytes_lower_latency: str
-    scenario_less_bytes_higher_latency: str
-    more_bytes_value: float
-    less_bytes_value: float
-    bytes_diff: float
-    lower_latency_ms: float
-    higher_latency_ms: float
-    latency_ratio_higher_over_lower: float
+# A counterexample is a pair whose first member has more transported bytes and the lower
+# latency; its labels are its rank, the metric and both members' metric values.
+CounterexampleRow, _counterexample_row = _row_table("CounterexampleRow", [
+    ("rank", "int", _label(0)),
+    ("transport_metric", "str", _label(1)),
+    ("scenario_more_bytes_lower_latency", "str", _first("scenario_id")),
+    ("scenario_less_bytes_higher_latency", "str", _second("scenario_id")),
+    ("more_bytes_value", "float", _label(2)),
+    ("less_bytes_value", "float", _label(3)),
+    ("bytes_diff", "float", lambda labels, first, second: labels[2] - labels[3]),
+    ("lower_latency_ms", "float", _first("mean_ms")),
+    ("higher_latency_ms", "float", _second("mean_ms")),
+    ("latency_ratio_higher_over_lower", "float", _ratio("mean_ms")),
+])
 
 
 def counterexamples(
@@ -443,23 +444,8 @@ def counterexamples(
             if ma > mb and a.mean_ms < b.mean_ms and b.mean_ms >= min_latency_ratio * a.mean_ms:
                 found.append((a, b, ma, mb))
     found.sort(key=lambda item: (-(item[2] - item[3]), item[0].scenario_id, item[1].scenario_id))
-    out = []
-    for rank, (a, b, ma, mb) in enumerate(found[:top_k], start=1):
-        out.append(
-            CounterexampleRow(
-                rank=rank,
-                transport_metric=metric,
-                scenario_more_bytes_lower_latency=a.scenario_id,
-                scenario_less_bytes_higher_latency=b.scenario_id,
-                more_bytes_value=ma,
-                less_bytes_value=mb,
-                bytes_diff=ma - mb,
-                lower_latency_ms=a.mean_ms,
-                higher_latency_ms=b.mean_ms,
-                latency_ratio_higher_over_lower=b.mean_ms / a.mean_ms,
-            )
-        )
-    return out
+    return [_counterexample_row((rank, metric, ma, mb), a, b)
+            for rank, (a, b, ma, mb) in enumerate(found[:top_k], start=1)]
 
 
 # --- regimes -------------------------------------------------------------------
@@ -479,95 +465,76 @@ def regime_label(row: RunAggregate, cfg: AnalysisConfig = AnalysisConfig()) -> R
     return RegimeLabel.BALANCED
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    scenario_id: str
-    elapsed_mean_ms: float
-    client_task_clock_per_run_ms: float
-    server_task_clock_per_run_ms: float
-    client_taskclock_over_elapsed: float
-    server_taskclock_over_elapsed: float
-    server_client_taskclock_ratio: float
-    qualitative_perf_regime: str
+# Per-scenario latency and task clocks with the regime label, from the row and the config.
+DecompositionRow, _decomposition_row = _row_table("DecompositionRow", [
+    ("scenario_id", "str", _row("scenario_id")),
+    ("elapsed_mean_ms", "float", _row("mean_ms")),
+    ("client_task_clock_per_run_ms", "float", _row("client_task_ms")),
+    ("server_task_clock_per_run_ms", "float", _row("server_task_ms")),
+    ("client_taskclock_over_elapsed", "float", _row("client_over_elapsed")),
+    ("server_taskclock_over_elapsed", "float", _row("server_over_elapsed")),
+    ("server_client_taskclock_ratio", "float", _row("srv_cli_ratio")),
+    ("qualitative_perf_regime", "str", lambda row, cfg: regime_label(row, cfg).value),
+])
 
 
 def decomposition_table(
     rows: Sequence[RunAggregate], cfg: AnalysisConfig = AnalysisConfig()
 ) -> list[DecompositionRow]:
-    return [
-        DecompositionRow(
-            scenario_id=row.scenario_id,
-            elapsed_mean_ms=row.mean_ms,
-            client_task_clock_per_run_ms=row.client_task_ms,
-            server_task_clock_per_run_ms=row.server_task_ms,
-            client_taskclock_over_elapsed=row.client_over_elapsed,
-            server_taskclock_over_elapsed=row.server_over_elapsed,
-            server_client_taskclock_ratio=row.srv_cli_ratio,
-            qualitative_perf_regime=regime_label(row, cfg).value,
-        )
-        for row in sorted(rows, key=lambda r: r.scenario_id)
-    ]
+    return [_decomposition_row(row, cfg) for row in sorted(rows, key=lambda r: r.scenario_id)]
 
 
 # --- capacity model -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CapacityRow:
-    scenario_id: str
-    kex_mode: str
-    depth: int
-    handshakes_per_core_second: float
-    handshakes_per_vcpu_hour: float
-    capacity_retained_vs_baseline: float
-    infrastructure_multiplier_needed: float
-    conceptual_perf_group: str
-
-
-def _capacity_rows(
-    rows: Sequence[RunAggregate], normalized: Sequence[NormalizedRow]
-) -> list[CapacityRow]:
-    """Server capacity of ``rows``, in input order, from their baseline ratios
-    (``normalized[i]`` is ``rows[i]``'s); the capacity and economic tables share it.
-
-    Serving the baseline's load takes ``server CPU / baseline server CPU`` times the cores.
-    """
-    out = []
-    for row, norm in zip(rows, normalized):
-        hps = 1000.0 / row.server_task_ms
-        multiplier = norm.server_cpu_relative_to_baseline
-        out.append(
-            CapacityRow(
-                scenario_id=row.scenario_id,
-                kex_mode=row.kex_mode,
-                depth=row.depth,
-                handshakes_per_core_second=hps,
-                handshakes_per_vcpu_hour=hps * 3600.0,
-                capacity_retained_vs_baseline=1.0 / multiplier,
-                infrastructure_multiplier_needed=multiplier,
-                conceptual_perf_group=conceptual_perf_group(row.placement),
-            )
-        )
-    return out
+# Server capacity, from the row and its baseline ratios: serving the baseline's load takes
+# ``server CPU / baseline server CPU`` times the cores.
+CapacityRow, _capacity_row = _row_table("CapacityRow", [
+    ("scenario_id", "str", _row("scenario_id")),
+    ("kex_mode", "str", _row("kex_mode")),
+    ("depth", "int", _row("depth")),
+    ("handshakes_per_core_second", "float", lambda row, norm: 1000.0 / row.server_task_ms),
+    ("handshakes_per_vcpu_hour", "float", lambda row, norm: 1000.0 / row.server_task_ms * 3600.0),
+    ("capacity_retained_vs_baseline", "float",
+     lambda row, norm: 1.0 / norm.server_cpu_relative_to_baseline),
+    ("infrastructure_multiplier_needed", "float", _derived("server_cpu_relative_to_baseline")),
+    ("conceptual_perf_group", "str", lambda row, norm: conceptual_perf_group(row.placement)),
+])
 
 
 # --- economic model --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EconomicRow:
-    scenario_id: str
-    conceptual_economic_class: str
-    server_cpu_seconds_per_handshake: float
-    handshakes_per_cpu_second: float
-    handshakes_per_cpu_hour: float
-    capacity_retained_vs_baseline: float
-    capacity_loss_pct: float
-    infrastructure_multiplier_needed: float
-    cpu_hours_per_million: float
-    cost_per_million: float
-    extra_cost_per_million: float
-    cost_multiplier_vs_baseline: float
+def _cpu_hours_per_million(row, capacity, cfg):
+    return row.server_task_ms / 1000.0 * 1e6 / 3600.0
+
+
+def _cost_per_million(row, capacity, cfg):
+    return _cpu_hours_per_million(row, capacity, cfg) * cfg.price_per_cpu_hour
+
+
+def _extra_cost_per_million(row, capacity, cfg):
+    cost = _cost_per_million(row, capacity, cfg)
+    return cost - cost / capacity.infrastructure_multiplier_needed  # less the baseline's cost
+
+
+# Cost per million handshakes, from the row, its capacity row and the config; the
+# infrastructure multiplier is also the cost over the baseline's cost.
+EconomicRow, _economic_row = _row_table("EconomicRow", [
+    ("scenario_id", "str", _row("scenario_id")),
+    ("conceptual_economic_class", "str", _derived("conceptual_perf_group")),
+    ("server_cpu_seconds_per_handshake", "float", lambda row, *_: row.server_task_ms / 1000.0),
+    ("handshakes_per_cpu_second", "float", _derived("handshakes_per_core_second")),
+    ("handshakes_per_cpu_hour", "float", _derived("handshakes_per_vcpu_hour")),
+    ("capacity_retained_vs_baseline", "float", _derived("capacity_retained_vs_baseline")),
+    ("capacity_loss_pct", "float",
+     lambda row, capacity, cfg: (1.0 - capacity.capacity_retained_vs_baseline) * 100.0),
+    ("infrastructure_multiplier_needed", "float", _derived("infrastructure_multiplier_needed")),
+    ("cpu_hours_per_million", "float", _cpu_hours_per_million),
+    ("cost_per_million", "float", _cost_per_million),
+    ("extra_cost_per_million", "float", _extra_cost_per_million),
+    ("cost_multiplier_vs_baseline", "float", _derived("infrastructure_multiplier_needed")),
+])
 
 
 def economic_model(
@@ -575,48 +542,36 @@ def economic_model(
 ) -> list[EconomicRow]:
     """Cost per million handshakes of ``rows``, cheapest first, from their capacity rows
     (``capacity_rows[i]`` is ``rows[i]``'s)."""
-    out = []
-    for row, capacity in zip(rows, capacity_rows):
-        cpu_seconds = row.server_task_ms / 1000.0
-        cpu_hours_per_million = cpu_seconds * 1e6 / 3600.0
-        cost = cpu_hours_per_million * cfg.price_per_cpu_hour
-        retained = capacity.capacity_retained_vs_baseline
-        multiplier = capacity.infrastructure_multiplier_needed  # = cost / baseline's cost
-        out.append(
-            EconomicRow(
-                scenario_id=row.scenario_id,
-                conceptual_economic_class=capacity.conceptual_perf_group,
-                server_cpu_seconds_per_handshake=cpu_seconds,
-                handshakes_per_cpu_second=capacity.handshakes_per_core_second,
-                handshakes_per_cpu_hour=capacity.handshakes_per_vcpu_hour,
-                capacity_retained_vs_baseline=retained,
-                capacity_loss_pct=(1.0 - retained) * 100.0,
-                infrastructure_multiplier_needed=multiplier,
-                cpu_hours_per_million=cpu_hours_per_million,
-                cost_per_million=cost,
-                extra_cost_per_million=cost - cost / multiplier,
-                cost_multiplier_vs_baseline=multiplier,
-            )
-        )
-    out.sort(key=lambda r: r.cost_per_million)
-    return out
+    return sorted((_economic_row(row, capacity, cfg) for row, capacity in zip(rows, capacity_rows)),
+                  key=lambda r: r.cost_per_million)
 
 
-@dataclass(frozen=True)
-class ServiceClassRow:
-    service_class: str
-    conceptual_economic_class: str
-    scenarios: int
-    mean_daily_cost: float
-    median_daily_cost: float
-    mean_extra_daily_cost: float
-    median_extra_daily_cost: float
-    mean_monthly_cost: float
-    median_monthly_cost: float
-    mean_extra_monthly_cost: float
-    median_extra_monthly_cost: float
-    mean_annual_cost: float
-    mean_extra_annual_cost: float
+# A service class's context is its name, the economic class, and the daily and extra daily
+# costs of the economic class's scenarios; a month is 30 days and a year 365.
+def _daily(stat, days: float = 1.0):
+    return lambda service_class, group, daily, extra: days * stat(daily)
+
+
+def _extra(stat, days: float = 1.0):
+    return lambda service_class, group, daily, extra: days * stat(extra)
+
+
+# Mean and median cost per day, month and year of each (service class, economic class).
+ServiceClassRow, _service_class_row = _row_table("ServiceClassRow", [
+    ("service_class", "str", lambda service_class, group, daily, extra: service_class),
+    ("conceptual_economic_class", "str", lambda service_class, group, daily, extra: group),
+    ("scenarios", "int", lambda service_class, group, daily, extra: len(daily)),
+    ("mean_daily_cost", "float", _daily(fmean)),
+    ("median_daily_cost", "float", _daily(median)),
+    ("mean_extra_daily_cost", "float", _extra(fmean)),
+    ("median_extra_daily_cost", "float", _extra(median)),
+    ("mean_monthly_cost", "float", _daily(fmean, 30.0)),
+    ("median_monthly_cost", "float", _daily(median, 30.0)),
+    ("mean_extra_monthly_cost", "float", _extra(fmean, 30.0)),
+    ("median_extra_monthly_cost", "float", _extra(median, 30.0)),
+    ("mean_annual_cost", "float", _daily(fmean, 365.0)),
+    ("mean_extra_annual_cost", "float", _extra(fmean, 365.0)),
+])
 
 
 def service_class_table(
@@ -635,23 +590,7 @@ def service_class_table(
             members = [r for r in economic_rows if r.conceptual_economic_class == group]
             daily = [r.cost_per_million * millions for r in members]
             extra = [r.extra_cost_per_million * millions for r in members]
-            out.append(
-                ServiceClassRow(
-                    service_class=service_class,
-                    conceptual_economic_class=group,
-                    scenarios=len(members),
-                    mean_daily_cost=statistics.fmean(daily),
-                    median_daily_cost=statistics.median(daily),
-                    mean_extra_daily_cost=statistics.fmean(extra),
-                    median_extra_daily_cost=statistics.median(extra),
-                    mean_monthly_cost=30.0 * statistics.fmean(daily),
-                    median_monthly_cost=30.0 * statistics.median(daily),
-                    mean_extra_monthly_cost=30.0 * statistics.fmean(extra),
-                    median_extra_monthly_cost=30.0 * statistics.median(extra),
-                    mean_annual_cost=365.0 * statistics.fmean(daily),
-                    mean_extra_annual_cost=365.0 * statistics.fmean(extra),
-                )
-            )
+            out.append(_service_class_row(service_class, group, daily, extra))
     return out
 
 
@@ -685,16 +624,17 @@ def plausibility_label(
     return PlausibilityLabel.UNSUITABLE
 
 
-@dataclass(frozen=True)
-class PlausibilityRow:
-    plausibility_rank: int
-    scenario_id: str
-    hierarchy_family_label: str
-    slh_position_class: str
-    elapsed_mean_ms: float
-    server_task_clock_per_run_ms: float
-    latency_relative_to_baseline: float
-    operational_plausibility: str
+# A scenario's plausibility, from the row, its baseline ratios and its label.
+PlausibilityRow, _plausibility_row = _row_table("PlausibilityRow", [
+    ("plausibility_rank", "int", lambda row, norm, label: label.rank),
+    ("scenario_id", "str", _derived("scenario_id")),
+    ("hierarchy_family_label", "str", lambda row, *_: hierarchy_label(row.placement)),
+    ("slh_position_class", "str", _derived("slh_position_class")),
+    ("elapsed_mean_ms", "float", _row("mean_ms")),
+    ("server_task_clock_per_run_ms", "float", _row("server_task_ms")),
+    ("latency_relative_to_baseline", "float", _derived("latency_relative_to_baseline")),
+    ("operational_plausibility", "str", lambda row, norm, label: label.display),
+])
 
 
 def plausibility_rank(
@@ -705,22 +645,8 @@ def plausibility_rank(
     """Scenarios ordered by latency multiplier (``normalized[i]`` is ``rows[i]``'s); the
     rank is the label's severity index (scenarios sharing a label share its rank)."""
     ordered = sorted(zip(rows, normalized), key=lambda pair: pair[1].latency_relative_to_baseline)
-    out = []
-    for row, norm in ordered:
-        label = plausibility_label(norm.latency_relative_to_baseline, cfg)
-        out.append(
-            PlausibilityRow(
-                plausibility_rank=label.rank,
-                scenario_id=norm.scenario_id,
-                hierarchy_family_label=hierarchy_label(row.placement),
-                slh_position_class=norm.slh_position_class,
-                elapsed_mean_ms=row.mean_ms,
-                server_task_clock_per_run_ms=row.server_task_ms,
-                latency_relative_to_baseline=norm.latency_relative_to_baseline,
-                operational_plausibility=label.display,
-            )
-        )
-    return out
+    return [_plausibility_row(row, norm, plausibility_label(norm.latency_relative_to_baseline, cfg))
+            for row, norm in ordered]
 
 
 # --- report writing ------------------------------------------------------------------
@@ -734,7 +660,7 @@ def compute_tables(
     """Every reproduced table by name: the baseline ratios and the capacity rows are
     derived once, here, and each table reads them."""
     normalized = normalize_to_baseline(rows, cfg.baseline_id)
-    capacity = _capacity_rows(rows, normalized)
+    capacity = list(map(_capacity_row, rows, normalized))
     economics = economic_model(rows, capacity, cfg)
     # the strategy matrix is campaign B, or every row of an input without it
     pairs = list(zip(rows, normalized))

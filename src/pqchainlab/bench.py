@@ -380,8 +380,8 @@ class SchemaError(Exception):
 
 def read_master_summary(path: Path | str) -> list[RunAggregate]:
     """The rows of a master-summary CSV; an empty file, a missing column or an
-    unreadable cell, a malformed scenario id, a NaN or an int cell that is not integral
-    included, is a :class:`SchemaError`."""
+    unreadable cell, a malformed scenario id, a NaN, an ``inf`` outside ``srv_cli_ratio``
+    or an int cell that is not integral included, is a :class:`SchemaError`."""
     import csv
 
     with open(path, newline="") as f:
@@ -403,10 +403,12 @@ def read_master_summary(path: Path | str) -> list[RunAggregate]:
                             raise ValueError(
                                 f"{record['scenario_id']}: {field.name} {raw} is not an integer")
                         kwargs[field.name] = int(value)
-                    elif field.type == "float":  # inf is a ratio over a zero clock; NaN is no value
-                        kwargs[field.name] = float(raw)
-                        if math.isnan(kwargs[field.name]):
+                    elif field.type == "float":  # NaN is no value; inf only srv/cli over a zero clock
+                        value = kwargs[field.name] = float(raw)
+                        if math.isnan(value):
                             raise ValueError(f"{record['scenario_id']}: {field.name} is NaN")
+                        if math.isinf(value) and (value < 0 or field.name != "srv_cli_ratio"):
+                            raise ValueError(f"{record['scenario_id']}: {field.name} is {value}")
                     else:
                         kwargs[field.name] = raw
                 parse_scenario_id(kwargs["scenario_id"] or "")  # as the placement properties do

@@ -8,6 +8,7 @@ rather than measured quantities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -39,9 +40,17 @@ class AnalysisConfig:
     counterexample_min_latency_ratio: float = 2.0
 
     def __post_init__(self):
-        """Every configuration, loaded from a file or built, has a positive price."""
+        """Every configuration, loaded from a file or built, has finite numbers, a positive
+        price and at least one counterexample per metric; an error names the file's key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{_file_key(f.name)}: must be finite, not {value}")
         if self.price_per_cpu_hour <= 0:
             raise ValueError(f"price_per_cpu_hour: must be positive, not {self.price_per_cpu_hour}")
+        if self.counterexample_top_k < 1:
+            raise ValueError(
+                f"counterexample_top_k: must be at least 1, not {self.counterexample_top_k}")
 
 
 # Field-name prefixes that config files spell with a dot: ``regime.server_bound_ratio``.

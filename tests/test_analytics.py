@@ -369,6 +369,17 @@ def test_analysis_tables_match_golden_digest(tmp_path, fixture_rows, cfg):
     assert digest.hexdigest() == GOLDEN_TABLES_SHA256
 
 
+def test_declared_column_types_match_values(tables):
+    """Each field's declared type is its values' type in every table: ``write_rows``
+    formats by value, so the golden digest cannot see a wrong declaration."""
+    assert len(tables) == 12
+    for name, table in tables.items():
+        assert table, name
+        for row in table:
+            for field in dataclasses.fields(row):
+                assert field.type == type(getattr(row, field.name)).__name__, (name, field.name)
+
+
 @pytest.mark.parametrize("demo, expected", [
     ("02_single_handshake.py", "server verified ClientFinished"),
     ("04_reference_tables.py", "leaf-only contrast (campaign A)"),

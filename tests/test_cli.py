@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -290,7 +291,15 @@ def test_analyze_fixture(tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--fixture", "paper", "--out", str(out)]) == EXIT_OK
     assert len(list(out.glob("*.csv"))) == 12
-    assert (out / "latency_by_scenario.svg").exists()
+    # the CSVs are pinned by test_analysis_tables_match_golden_digest; the plots here
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.svg")} == {
+        "latency_by_scenario.svg":
+            "d1d954070c8dadd7153c6e82598514a423a97d2c7c44f80cf1623a281f7b16e3",
+        "client_vs_server_taskclock.svg":
+            "1aeef130df68081c1e751709508b179e018a04c6ff8a5262bfd9718d41fb4e0a",
+        "infrastructure_multiplier.svg":
+            "8cf8d3667fab042ea7b0b39b592b60bb62b1b025be66c2f3427cbd826d47ca53",
+    }
 
     # byte-stable rerun
     out2 = tmp_path / "analysis2"
@@ -344,7 +353,10 @@ def test_analyze_missing_baseline(tmp_path):
 def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
     argv = ["analyze", "--fixture", "paper", "--out", str(tmp_path / "x")]
     for key, value in (("bogus", "1"), ("price_per_cpu_hour", "abc"), ("price_per_cpu_hour", "0"),
-                       ("service_class.medium_api", "many")):
+                       ("service_class.medium_api", "many"), ("price_per_cpu_hour", "nan"),
+                       ("plausibility.reasonable_max", "nan"),
+                       ("counterexample_min_latency_ratio", "inf"),
+                       ("counterexample_top_k", "-3"), ("counterexample_top_k", "0")):
         config = tmp_path / "analysis.cfg"
         config.write_text(f"{key} = {value}\n")
         assert main([*argv, "--config", str(config)]) == EXIT_USAGE
@@ -425,13 +437,22 @@ def test_analyze_schema_mismatch(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"error: {bad}: malformed scenario id 'not_a_scenario'", line
     assert not (tmp_path / "out").exists()
-    # NaN in any float cell, as in a column that no positivity check reads; inf is legal
-    # (test_analyze_zero_client_clock)
-    for sid, column in [("x25519__leaf_mldsa65", "client_task_ms"), ("x25519__leaf_mldsa65", "p95_ms"),
-                        ("mlkem768__ml_root__ml_leaf", "mean_ms")]:
-        assert _analyze_changed_fixture(tmp_path, sid, **{column: math.nan}) == EXIT_SCHEMA
+    # NaN in any float cell, as in a column that no positivity check reads, and inf in any
+    # but srv_cli_ratio, where a zero client clock puts it (test_analyze_zero_client_clock)
+    for sid, column, value, cell in [
+        ("x25519__leaf_mldsa65", "client_task_ms", math.nan, "NaN"),
+        ("x25519__leaf_mldsa65", "p95_ms", math.nan, "NaN"),
+        ("mlkem768__ml_root__ml_leaf", "mean_ms", math.nan, "NaN"),
+        ("x25519__leaf_mldsa65", "mean_ms", math.inf, "inf"),
+        ("x25519__leaf_mldsa65", "server_task_ms", math.inf, "inf"),
+        ("x25519__leaf_mldsa65", "client_task_ms", math.inf, "inf"),
+        ("x25519__leaf_mldsa65", "bytes_read", math.inf, "inf"),
+        ("mlkem768__ml_root__ml_leaf", "p95_ms", math.inf, "inf"),
+        ("x25519__leaf_mldsa65", "srv_cli_ratio", -math.inf, "-inf"),
+    ]:
+        assert _analyze_changed_fixture(tmp_path, sid, **{column: value}) == EXIT_SCHEMA
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"error: {tmp_path / 'changed.csv'}: {sid}: {column} is NaN", line
+        assert line == f"error: {tmp_path / 'changed.csv'}: {sid}: {column} is {cell}", line
         assert not (tmp_path / "out").exists()
     # an int cell must be integral: a fractional count is not truncated, a NaN is named
     for column, value, cell in [("n_runs", 2.7, "2.7000"), ("depth", math.nan, "nan")]:
