@@ -128,6 +128,8 @@ class RunAggregate:
 
 
 CSV_COLUMNS = [f.name for f in fields(RunAggregate)]
+# The client's ChainObservation fields, which each sample and aggregate carries by name.
+_OBSERVATION = [f.name for f in fields(hs.ChainObservation)]
 
 
 # Default counts; _runs_for picks RUNS_FAST or RUNS_HEAVY per scenario.
@@ -181,10 +183,8 @@ def aggregate(scenario: Scenario, samples: list[HandshakeSample]) -> RunAggregat
     mean_ms = sum(elapsed) / n
     client_ms = sum(s.client_cpu_ms for s in samples) / n
     server_ms = sum(s.server_cpu_ms for s in samples) / n
-    chain_lens = {s.chain_len_unique for s in samples}
-    chain_bytes = {s.chain_bytes_unique for s in samples}
-    der_bytes = {s.served_chain_der_bytes for s in samples}
-    if len(chain_lens) != 1 or len(chain_bytes) != 1 or len(der_bytes) != 1:
+    observed = {tuple(getattr(s, name) for name in _OBSERVATION) for s in samples}
+    if len(observed) != 1:
         raise ScenarioFailed(f"{scenario.display_id}: chain observations varied across runs")
     return RunAggregate(
         scenario_id=scenario.display_id,
@@ -196,9 +196,7 @@ def aggregate(scenario: Scenario, samples: list[HandshakeSample]) -> RunAggregat
         p95_ms=percentile_nearest_rank(elapsed, 0.95),
         bytes_read=sum(s.bytes_read for s in samples) / n,
         bytes_written=sum(s.bytes_written for s in samples) / n,
-        chain_len_unique=chain_lens.pop(),
-        chain_bytes_unique=chain_bytes.pop(),
-        served_chain_der_bytes=der_bytes.pop(),
+        **dict(zip(_OBSERVATION, observed.pop())),
         client_task_ms=client_ms,
         server_task_ms=server_ms,
         client_over_elapsed=client_ms / mean_ms if mean_ms else 0.0,
@@ -295,9 +293,7 @@ def run_scenario(
                     elapsed_ms=elapsed_ms,
                     bytes_read=result.bytes_read,
                     bytes_written=result.bytes_written,
-                    chain_len_unique=result.observation.chain_len_unique,
-                    chain_bytes_unique=result.observation.chain_bytes_unique,
-                    served_chain_der_bytes=result.observation.served_chain_der_bytes,
+                    **vars(result.observation),
                     client_cpu_ms=client_cpu_ms,
                     server_cpu_ms=record["server_cpu_ms"],
                 )

@@ -68,25 +68,16 @@ def _bench_config(args) -> bench.BenchConfig:
                              policy=pki.ServedChainPolicy(args.policy), now=args.now)
 
 
-def write_manifest(
-    path: Path,
-    seed_hex: Optional[str],
-    scenarios: list[Scenario],
-    policy: str,
-    issuance_epoch: Optional[int],
-    issuance: Optional[dict],
-    **extra,
-) -> None:
+def write_manifest(path: Path, scenarios: list[Scenario], **fields) -> None:
+    """A run's manifest: the tool, ``fields`` in the order given, the scenario ids, the
+    time and the host."""
     import platform
 
     uname = platform.uname()  # platform.platform() would also run `uname -p` for the processor
     manifest = {
         "tool": "pqchainlab",
         "version": __version__,
-        "seed_hex": seed_hex,
-        "issuance_epoch": issuance_epoch,
-        "issuance_backend": issuance,
-        "policy": policy,
+        **fields,
         "scenario_ids": [s.display_id for s in scenarios],
         "created_unix": int(time.time()),
         "host": {
@@ -95,9 +86,12 @@ def write_manifest(
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
         },
-        **extra,
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+# The PKI manifest's provenance fields, which a results manifest copies.
+_PROVENANCE = ("seed_hex", "issuance_epoch", "issuance_backend")
 
 
 def _select(args) -> list[Scenario]:
@@ -168,7 +162,8 @@ def provision(scenarios: list[Scenario], seed: bytes, out_dir: Path, jobs: Optio
             return code if code > 0 else EXIT_CRYPTO
     for scenario in scenarios:
         print(f"provisioned {scenario.display_id}")
-    write_manifest(out_dir / "manifest.json", seed.hex(), scenarios, "n/a", now, issuance)
+    write_manifest(out_dir / "manifest.json", scenarios, seed_hex=seed.hex(), issuance_epoch=now,
+                   issuance_backend=issuance)
     return EXIT_OK
 
 
@@ -197,9 +192,8 @@ def _measure(scenarios: list[Scenario], pki_dir, cfg: bench.BenchConfig, out_dir
     aggregates, _, steal = bench.run_campaign(scenarios, pki_dir, cfg, out_dir, progress)
     counts = [bench._runs_for(s, cfg) for s in scenarios]  # (BenchConfig field, runs)
     write_manifest(
-        out_dir / "manifest.json", provisioned.get("seed_hex"), scenarios, cfg.policy.value,
-        provisioned.get("issuance_epoch"), provisioned.get("issuance_backend"),
-        validated_at=cfg.now, host_steal_share=steal,
+        out_dir / "manifest.json", scenarios, **{key: provisioned.get(key) for key in _PROVENANCE},
+        policy=cfg.policy.value, validated_at=cfg.now, host_steal_share=steal,
         thread_clock_tick_ms=bench.thread_clock_tick_ms(),
         **{field: sorted({n for f, n in counts if f == field}) for field in ("runs", "runs_heavy")},
         warmup=[cfg.warmup],
@@ -357,7 +351,7 @@ def cmd_reproduce(args) -> int:
 
 def _add_selection(p: argparse.ArgumentParser) -> None:
     pick = p.add_mutually_exclusive_group()
-    pick.add_argument("--select", nargs="*", default=[], help="scenario ids")
+    pick.add_argument("--select", nargs="+", help="scenario ids")
     pick.add_argument("--campaign", choices=CAMPAIGNS)
 
 

@@ -41,7 +41,8 @@ class AnalysisConfig:
 
     def __post_init__(self):
         """Every configuration, loaded from a file or built, has finite numbers, a positive
-        price and at least one counterexample per metric; an error names the file's key."""
+        price, at least one counterexample per metric, ascending cut points and named
+        service classes of at least one handshake a day; an error names the file's key."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -51,6 +52,18 @@ class AnalysisConfig:
         if self.counterexample_top_k < 1:
             raise ValueError(
                 f"counterexample_top_k: must be at least 1, not {self.counterexample_top_k}")
+        for lower, upper in (("regime_client_skewed_ratio", "regime_server_bound_ratio"),
+                             ("plausibility_reasonable_max", "plausibility_penalized_max"),
+                             ("plausibility_penalized_max", "plausibility_problematic_max")):
+            low, high = getattr(self, lower), getattr(self, upper)
+            if low >= high:
+                raise ValueError(f"{_file_key(lower)}: must be below {_file_key(upper)} "
+                                 f"({high}), not {low}")
+        for name, volume in self.service_classes.items():
+            if not name:
+                raise ValueError("service_class.: a service class needs a name")
+            if volume < 1:
+                raise ValueError(f"service_class.{name}: must be at least 1, not {volume}")
 
 
 # Field-name prefixes that config files spell with a dot: ``regime.server_bound_ratio``.

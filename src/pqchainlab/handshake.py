@@ -355,7 +355,7 @@ CONNECTION_TIMEOUT_S = 30.0
 
 def run_server(
     listener: socket.socket, material: ServerMaterial, control: socket.socket, max_connections: int
-) -> int:
+) -> None:
     """Accept and serve up to ``max_connections`` handshakes strictly sequentially.
 
     After each connection a JSON line ``{"connection_index": i,
@@ -364,15 +364,12 @@ def run_server(
     that does not verify included) drops the connection and continues with
     an ``{"connection_index": i, "error": reason}`` record.
     The loop ends after ``max_connections``, when the listener closes or
-    when ``control`` can no longer be written.  Returns the number of
-    completed handshakes.
+    when ``control`` can no longer be written.
     """
     import socket
 
     ctrl_file = control.makefile("w")
-    completed = 0
-    index = 0
-    while index < max_connections:
+    for index in range(max_connections):
         try:
             sock, _ = listener.accept()
         except OSError:
@@ -385,14 +382,11 @@ def run_server(
                 server_handshake(sock, material)
                 cpu_ms = (time.thread_time_ns() - cpu0) / 1e6
                 record = {"connection_index": index, "server_cpu_ms": cpu_ms}
-                completed += 1
         except (HandshakeError, OSError) as exc:
             record = {"connection_index": index, "error": str(exc)}
-        index += 1
         try:
             ctrl_file.write(json.dumps(record) + "\n")
             ctrl_file.flush()
         except OSError:
             break
-    return completed
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -74,22 +74,8 @@ def read_prefixed(data: bytes, offset: int) -> tuple[bytes, int]:
     return data[start:end], end
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
-    """A decoded certificate: the ``TBS_FIELDS`` by name, the signature and the encoded bytes."""
-
-    version: int
-    serial: int
-    subject: str
-    issuer: str
-    sig_alg_id: int
-    pk_alg_id: int
-    public_key: bytes
-    not_before: int
-    not_after: int
-    is_ca: bool
-    signature: bytes
-    encoded: bytes
+class _Certificate:
+    """What a certificate offers beyond its fields, which ``CertificateRecord`` declares."""
 
     @property
     def signature_family(self) -> SigFamily:
@@ -102,6 +88,18 @@ class CertificateRecord:
     def tbs_bytes(self) -> bytes:
         """The signed bytes: decoding checked that they are the canonical encoding."""
         return read_prefixed(self.encoded, 0)[0]
+
+
+# A decoded certificate: the ``TBS_FIELDS`` by name, each typed by its codec (TEXT a
+# str, BYTES bytes, "?" a bool, any other struct code an int), then the signature and
+# the encoded bytes.  Types are strings, as a ``@dataclass`` here would spell them.
+_FIELD_TYPES = {TEXT: "str", BYTES: "bytes", "?": "bool"}
+CertificateRecord = make_dataclass(
+    "CertificateRecord",
+    [(name, _FIELD_TYPES.get(code, "int")) for name, code in TBS_FIELDS]
+    + [("signature", "bytes"), ("encoded", "bytes")],
+    bases=(_Certificate,), frozen=True, namespace={"__module__": __name__},
+)
 
 
 def encode_tbs(**fields) -> bytes:

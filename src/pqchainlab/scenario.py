@@ -47,7 +47,7 @@ class SigFamily(enum.Enum):
         raise ValueError(f"unknown signature algorithm id {alg_id}")
 
 
-_FAMILY_BY_TOKEN = {"ml": SigFamily.ML_DSA_65, "slh": SigFamily.SLH_DSA_SHAKE_192S}
+_FAMILY_BY_TOKEN = {family.token: family for family in SigFamily}
 
 
 class KexMode(enum.Enum):

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import json
 import math
 import os
 import socket
@@ -88,6 +90,17 @@ def test_aggregate_empty_errors(matrix):
         aggregate(s, [])
 
 
+def test_aggregate_carries_one_chain_observation(matrix):
+    """The chain observation is each sample's, and one that varies fails the scenario."""
+    s = find_scenario(matrix, "x25519mlkem768__ml_root__ml_int__ml_leaf")
+    agg = aggregate(s, [_sample(0, 2.0), _sample(1, 2.0)])
+    assert (agg.chain_len_unique, agg.chain_bytes_unique, agg.served_chain_der_bytes) == (2, 10, 19)
+    for field in ("chain_len_unique", "chain_bytes_unique", "served_chain_der_bytes"):
+        varied = dataclasses.replace(_sample(1, 2.0), **{field: 99})
+        with pytest.raises(ScenarioFailed, match="chain observations varied across runs"):
+            aggregate(s, [_sample(0, 2.0), varied])
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory, matrix, ml_d3_hierarchy):
     s, h = ml_d3_hierarchy
@@ -152,6 +165,17 @@ def test_sample_roundtrip(tmp_path, mini_run):
     path = tmp_path / "samples.jsonl"
     write_samples(samples, path)
     assert read_samples(path) == samples
+
+
+def test_sample_file_keys(tmp_path, mini_run):
+    """Each ``.jsonl`` line holds the sample's fields in this order."""
+    _, samples = mini_run
+    write_samples(samples, tmp_path / "samples.jsonl")
+    first = json.loads((tmp_path / "samples.jsonl").read_text().splitlines()[0])
+    assert list(first) == [
+        "run_index", "elapsed_ms", "bytes_read", "bytes_written", "chain_len_unique",
+        "chain_bytes_unique", "served_chain_der_bytes", "client_cpu_ms", "server_cpu_ms",
+    ]
 
 
 def test_master_summary_roundtrip(tmp_path, mini_run):

@@ -53,6 +53,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["provision", "--select", "bogus_id", "--out", str(tmp_path / "p")]) == EXIT_USAGE
     expected = "error: scenario 'bogus_id' not present in input"
     assert expected in capsys.readouterr().err.splitlines()
+    # `--select` names at least one id; with none it does not fall back to all 17
+    with pytest.raises(SystemExit) as err:
+        main(["provision", "--select", "--out", str(tmp_path / "none")])
+    assert err.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: argument --select: expected at least one argument\n")
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize(
@@ -153,6 +159,12 @@ def test_provision_and_bench_small(tmp_path):
     assert manifest["thread_clock_tick_ms"] == bench.thread_clock_tick_ms()
     assert (manifest["runs"], manifest["runs_heavy"], manifest["warmup"]) == ([5], [], [1])
     assert manifest["policy"] == "mirror"
+    # each manifest's keys, in order: a key added or removed shows in this test's diff
+    assert list(provisioned) == ["tool", "version", "seed_hex", "issuance_epoch", "issuance_backend",
+                                 "scenario_ids", "created_unix", "host"]
+    assert list(manifest) == ["tool", "version", "seed_hex", "issuance_epoch", "issuance_backend",
+                              "policy", "validated_at", "host_steal_share", "thread_clock_tick_ms",
+                              "runs", "runs_heavy", "warmup", "scenario_ids", "created_unix", "host"]
 
 
 @pytest.mark.parametrize("text, reason", [("{bad", "Expecting property name"), ("[]", "not a JSON object"),
@@ -356,7 +368,9 @@ def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
                        ("service_class.medium_api", "many"), ("price_per_cpu_hour", "nan"),
                        ("plausibility.reasonable_max", "nan"),
                        ("counterexample_min_latency_ratio", "inf"),
-                       ("counterexample_top_k", "-3"), ("counterexample_top_k", "0")):
+                       ("counterexample_top_k", "-3"), ("counterexample_top_k", "0"),
+                       ("regime.client_skewed_ratio", "20"), ("plausibility.reasonable_max", "30"),
+                       ("service_class.neg", "-5"), ("service_class.", "7")):
         config = tmp_path / "analysis.cfg"
         config.write_text(f"{key} = {value}\n")
         assert main([*argv, "--config", str(config)]) == EXIT_USAGE

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import shutil
@@ -59,6 +60,19 @@ def test_codec_roundtrip(serial, subject, issuer, pk, sig, nb, ca):
     assert cert.serial == serial and cert.subject == subject and cert.issuer == issuer
     assert cert.public_key == pk and cert.signature == sig and cert.is_ca == ca
     assert decode_certificate(cert.encoded) == cert
+
+
+def test_certificate_record_fields_follow_tbs_fields():
+    """The record's fields are the layout's, in order and typed by codec, then the
+    signature and the encoded bytes."""
+    assert [(f.name, f.type) for f in dataclasses.fields(pki.CertificateRecord)] == [
+        ("version", "int"), ("serial", "int"), ("subject", "str"), ("issuer", "str"),
+        ("sig_alg_id", "int"), ("pk_alg_id", "int"), ("public_key", "bytes"),
+        ("not_before", "int"), ("not_after", "int"), ("is_ca", "bool"),
+        ("signature", "bytes"), ("encoded", "bytes"),
+    ]
+    assert [name for name, _ in pki.TBS_FIELDS] == [
+        f.name for f in dataclasses.fields(pki.CertificateRecord)][:-2]
 
 
 def test_codec_rejects_trailing_bytes(ml_d3_hierarchy):
