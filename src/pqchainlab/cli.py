@@ -351,7 +351,7 @@ def cmd_reproduce(args) -> int:
 
 def _add_selection(p: argparse.ArgumentParser) -> None:
     pick = p.add_mutually_exclusive_group()
-    pick.add_argument("--select", nargs="+", help="scenario ids")
+    pick.add_argument("--select", nargs="+", action="extend", help="scenario ids")
     pick.add_argument("--campaign", choices=CAMPAIGNS)
 
 

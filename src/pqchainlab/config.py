@@ -79,7 +79,7 @@ def load_config(path: Path | str | None) -> AnalysisConfig:
     """Read ``key = value`` lines over the defaults; each value takes its default's type.
 
     The keys are the scalar fields' names (dotted for the regime and
-    plausibility groups) and ``service_class.<name>``.
+    plausibility groups) and ``service_class.<name>``; each may be given once.
     """
     cfg = AnalysisConfig()
     if path is None:
@@ -87,6 +87,7 @@ def load_config(path: Path | str | None) -> AnalysisConfig:
     scalars = {_file_key(f.name): f.name for f in fields(cfg) if f.name != "service_classes"}
     classes = dict(cfg.service_classes)
     updates: dict = {}
+    seen = set()
     for raw_line in Path(path).read_text().splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -96,6 +97,9 @@ def load_config(path: Path | str | None) -> AnalysisConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(f"{key}: given twice")
+        seen.add(key)
         try:
             if key.startswith("service_class."):  # handshakes per day: 1e6, not 100.5
                 count = float(value)

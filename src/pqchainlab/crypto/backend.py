@@ -18,6 +18,15 @@ Both give the same bytes.  Issuance stays on ``python`` when
 ``PQCHAINLAB_LIBCRYPTO`` is empty, when the library does not load or
 when it lacks either algorithm.  The library is never searched for.
 
+Key exchange is one component table, :data:`KEX_COMPONENTS`: each mode's
+components (:class:`_X25519`, :class:`_MLKEM768`) in the order of their
+shares and secrets.  A component states its client and server share
+lengths and three steps: ``client_share(rng)`` returns (share, key),
+``server_respond(share)`` returns (share, shared secret) on fresh
+randomness, and ``client_complete(key, share)`` returns the shared secret.
+The share lengths, :func:`client_share`, :func:`server_respond_kex` and
+:func:`client_complete_kex` loop over the table.
+
 ``cryptography`` is imported at the first ML-DSA keypair, ML-DSA
 verification, key share or :class:`Signer`, and all three of its modules
 (ML-DSA, ML-KEM, X25519) load then.  Loading a hierarchy with an ML-DSA
@@ -40,12 +49,9 @@ import functools
 import os
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Iterable, Iterator
 
 from ..scenario import KexMode, SigFamily
-
-if TYPE_CHECKING:
-    from cryptography.hazmat.primitives.asymmetric import mlkem, x25519
 
 RandomBytes = Callable[[int], bytes]
 
@@ -141,12 +147,10 @@ def issuance_backend() -> dict:
     return {"name": chosen.name, "library": chosen.path, "openssl_version": chosen.version}
 
 
-def generate_keypair(alg: SigFamily, seed: Optional[bytes] = None) -> KeyPair:
-    """Generate a signature keypair; a seed makes the result reproducible."""
+def generate_keypair(alg: SigFamily, seed: bytes) -> KeyPair:
+    """The signature keypair of ``seed``, reproducibly."""
     params = SIG_PARAMS[alg]
-    if seed is None:
-        seed = os.urandom(params.seed_len)
-    elif len(seed) != params.seed_len:
+    if len(seed) != params.seed_len:
         raise CryptoError(f"{alg.value} seed must be {params.seed_len} bytes")
     try:
         if alg is SigFamily.ML_DSA_65:
@@ -260,87 +264,104 @@ def verify(alg: SigFamily, public_key: bytes, message: bytes, signature: bytes) 
 
 # --- key establishment -------------------------------------------------
 
-X25519_PUBLIC_LEN = 32
-MLKEM_EK_LEN = 1184
-MLKEM_CT_LEN = 1088
+
+class _X25519:
+    """X25519 (RFC 7748): each side sends a public key."""
+
+    client_len = server_len = 32
+
+    @staticmethod
+    def client_share(rng: RandomBytes):
+        key = _pyca().x25519.X25519PrivateKey.from_private_bytes(rng(32))
+        return key.public_key().public_bytes_raw(), key
+
+    @staticmethod
+    def server_respond(client_share: bytes) -> tuple[bytes, bytes]:
+        x25519 = _pyca().x25519
+        peer = x25519.X25519PublicKey.from_public_bytes(client_share)
+        key = x25519.X25519PrivateKey.from_private_bytes(os.urandom(32))
+        return key.public_key().public_bytes_raw(), key.exchange(peer)
+
+    @staticmethod
+    def client_complete(key, server_share: bytes) -> bytes:
+        return key.exchange(_pyca().x25519.X25519PublicKey.from_public_bytes(server_share))
+
+
+class _MLKEM768:
+    """ML-KEM-768 (FIPS 203): the client sends an encapsulation key, the server a ciphertext."""
+
+    client_len, server_len = 1184, 1088
+
+    @staticmethod
+    def client_share(rng: RandomBytes):
+        key = _pyca().mlkem.MLKEM768PrivateKey.from_seed_bytes(rng(64))
+        return key.public_key().public_bytes_raw(), key
+
+    @staticmethod
+    def server_respond(client_share: bytes) -> tuple[bytes, bytes]:
+        secret, ciphertext = _pyca().mlkem.MLKEM768PublicKey.from_public_bytes(
+            client_share).encapsulate()
+        return ciphertext, secret
+
+    @staticmethod
+    def client_complete(key, server_share: bytes) -> bytes:
+        return key.decapsulate(server_share)
+
+
+# Each mode's components, in the order of their shares and secrets.
+KEX_COMPONENTS = {
+    KexMode.CLASSICAL: (_X25519,),
+    KexMode.HYBRID: (_X25519, _MLKEM768),
+    KexMode.PURE_PQC: (_MLKEM768,),
+}
+MLKEM_EK_LEN = _MLKEM768.client_len
 
 
 def client_share_len(mode: KexMode) -> int:
-    return {
-        KexMode.CLASSICAL: X25519_PUBLIC_LEN,
-        KexMode.HYBRID: X25519_PUBLIC_LEN + MLKEM_EK_LEN,
-        KexMode.PURE_PQC: MLKEM_EK_LEN,
-    }[mode]
+    return sum(c.client_len for c in KEX_COMPONENTS[mode])
 
 
 def server_share_len(mode: KexMode) -> int:
-    return {
-        KexMode.CLASSICAL: X25519_PUBLIC_LEN,
-        KexMode.HYBRID: X25519_PUBLIC_LEN + MLKEM_CT_LEN,
-        KexMode.PURE_PQC: MLKEM_CT_LEN,
-    }[mode]
+    return sum(c.server_len for c in KEX_COMPONENTS[mode])
 
 
-@dataclass
+def _pieces(data: bytes, lengths: Iterable[int]) -> Iterator[bytes]:
+    """``data`` cut into consecutive pieces of ``lengths``."""
+    offset = 0
+    for n in lengths:
+        yield data[offset : offset + n]
+        offset += n
+
+
 class ClientKexState:
-    mode: KexMode
-    x25519_key: Optional[x25519.X25519PrivateKey]
-    mlkem_key: Optional[mlkem.MLKEM768PrivateKey]
+    """The client's mode and its private keys, one per component in KEX_COMPONENTS order.
+
+    A plain class: a dataclass would cost each process about 0.5 ms at import."""
+
+    def __init__(self, mode: KexMode, keys: tuple):
+        self.mode, self.keys = mode, keys
 
 
 def client_share(mode: KexMode, rng: RandomBytes = os.urandom) -> tuple[bytes, ClientKexState]:
-    """Ephemeral client key share: X25519 public and/or ML-KEM encapsulation key."""
-    pyca = _pyca()
-    xk = mk = None
-    share = b""
-    if mode in (KexMode.CLASSICAL, KexMode.HYBRID):
-        xk = pyca.x25519.X25519PrivateKey.from_private_bytes(rng(32))
-        share += xk.public_key().public_bytes_raw()
-    if mode in (KexMode.HYBRID, KexMode.PURE_PQC):
-        mk = pyca.mlkem.MLKEM768PrivateKey.from_seed_bytes(rng(64))
-        share += mk.public_key().public_bytes_raw()
-    return share, ClientKexState(mode, xk, mk)
+    """Ephemeral client key share: each component's share from ``rng``, in turn."""
+    shares, keys = zip(*(c.client_share(rng) for c in KEX_COMPONENTS[mode]))
+    return b"".join(shares), ClientKexState(mode, keys)
 
 
-def server_respond_kex(
-    mode: KexMode, client_share_bytes: bytes
-) -> tuple[bytes, Optional[bytes], Optional[bytes]]:
-    """Server side, on fresh randomness: returns (server share, classical_ss, kem_ss)."""
+def server_respond_kex(mode: KexMode, client_share_bytes: bytes) -> tuple[bytes, tuple[bytes, ...]]:
+    """Server side, on fresh randomness: returns (server share, shared secrets)."""
     if len(client_share_bytes) != client_share_len(mode):
         raise CryptoError("client key share has wrong length")
-    pyca = _pyca()
-    share = b""
-    classical_ss = kem_ss = None
-    offset = 0
-    if mode in (KexMode.CLASSICAL, KexMode.HYBRID):
-        peer = pyca.x25519.X25519PublicKey.from_public_bytes(
-            client_share_bytes[:X25519_PUBLIC_LEN]
-        )
-        offset = X25519_PUBLIC_LEN
-        xk = pyca.x25519.X25519PrivateKey.from_private_bytes(os.urandom(32))
-        classical_ss = xk.exchange(peer)
-        share += xk.public_key().public_bytes_raw()
-    if mode in (KexMode.HYBRID, KexMode.PURE_PQC):
-        ek = pyca.mlkem.MLKEM768PublicKey.from_public_bytes(client_share_bytes[offset:])
-        kem_ss, ct = ek.encapsulate()
-        share += ct
-    return share, classical_ss, kem_ss
+    components = KEX_COMPONENTS[mode]
+    pieces = _pieces(client_share_bytes, (c.client_len for c in components))
+    shares, secrets = zip(*(c.server_respond(p) for c, p in zip(components, pieces)))
+    return b"".join(shares), secrets
 
 
-def client_complete_kex(
-    state: ClientKexState, server_share_bytes: bytes
-) -> tuple[Optional[bytes], Optional[bytes]]:
-    """Client side: derive (classical_ss, kem_ss) from the server share."""
+def client_complete_kex(state: ClientKexState, server_share_bytes: bytes) -> tuple[bytes, ...]:
+    """Client side: the shared secrets, from the server share."""
     if len(server_share_bytes) != server_share_len(state.mode):
         raise CryptoError("server key share has wrong length")
-    classical_ss = kem_ss = None
-    offset = 0
-    if state.x25519_key is not None:
-        peer = _pyca().x25519.X25519PublicKey.from_public_bytes(
-            server_share_bytes[:X25519_PUBLIC_LEN]
-        )
-        classical_ss = state.x25519_key.exchange(peer)
-        offset = X25519_PUBLIC_LEN
-    if state.mlkem_key is not None:
-        kem_ss = state.mlkem_key.decapsulate(server_share_bytes[offset:])
-    return classical_ss, kem_ss
+    components = KEX_COMPONENTS[state.mode]
+    pieces = _pieces(server_share_bytes, (c.server_len for c in components))
+    return tuple(c.client_complete(k, p) for c, k, p in zip(components, state.keys, pieces))

@@ -14,11 +14,12 @@ protection, resumption or extension machinery: the protocol isolates
 exactly the costs under study (chain transmission, leaf signature,
 path validation) with bit-exact byte accounting.
 
-Secrets: ``master = SHA256("ms" || classical_ss? || kem_ss? || th(SH))``
-where absent key-exchange components contribute nothing, and
-``finished_key = SHA256("fk" || master)``.  CertificateVerify signs
-``SHA256("pqchainlab-cv" || th(Certificate))``; the Finished MACs are
-HMAC-SHA256 over the running transcript hash.
+Secrets: ``master = SHA256("ms" || each component's shared secret, in
+KEX_COMPONENTS order || th(SH))``, where ``backend.KEX_COMPONENTS`` names
+each mode's key-exchange components, and ``finished_key = SHA256("fk" ||
+master)``.  CertificateVerify signs ``SHA256("pqchainlab-cv" ||
+th(Certificate))``; the Finished MACs are HMAC-SHA256 over the running
+transcript hash.
 
 The protocol lives in :func:`client_flow` and :func:`server_flow`, which
 do no I/O and own the transcript, the byte counts and every check on peer
@@ -113,10 +114,8 @@ class ChainObservation:
     served_chain_der_bytes: int
 
 
-def derive_secrets(
-    classical_ss: Optional[bytes], kem_ss: Optional[bytes], th_server_hello: bytes
-) -> SessionSecrets:
-    material = _MS_LABEL + (classical_ss or b"") + (kem_ss or b"") + th_server_hello
+def derive_secrets(shared_secrets: tuple[bytes, ...], th_server_hello: bytes) -> SessionSecrets:
+    material = _MS_LABEL + b"".join(shared_secrets) + th_server_hello
     master = hashlib.sha256(material).digest()
     finished = hashlib.sha256(_FK_LABEL + master).digest()
     return SessionSecrets(master, finished)
@@ -249,10 +248,10 @@ def client_flow(
 
     sh = t.recv((yield), MSG_SERVER_HELLO)
     try:  # a short ServerHello fails the backend's length check
-        classical_ss, kem_ss = backend.client_complete_kex(state, sh[32:])
+        shared_secrets = backend.client_complete_kex(state, sh[32:])
     except (CryptoError, ValueError) as exc:  # pyca refuses some shares with ValueError
         raise Malformed(f"bad server key share: {exc}") from exc
-    secrets = derive_secrets(classical_ss, kem_ss, t.digest())
+    secrets = derive_secrets(shared_secrets, t.digest())
 
     cert_body = t.recv((yield), MSG_CERTIFICATE)
     served = decode_certificate_msg(cert_body)
@@ -321,11 +320,11 @@ def server_flow(material: ServerMaterial) -> Flow:
         raise UnsupportedGroup(f"group 0x{group_id:04x} not enabled for this scenario")
 
     try:
-        server_share, classical_ss, kem_ss = backend.server_respond_kex(mode, hello[34:])
+        server_share, shared_secrets = backend.server_respond_kex(mode, hello[34:])
     except (CryptoError, ValueError) as exc:  # pyca refuses some shares with ValueError
         raise Malformed(f"bad client key share: {exc}") from exc
     yield t.send(MSG_SERVER_HELLO, os.urandom(32) + server_share)
-    secrets = derive_secrets(classical_ss, kem_ss, t.digest())
+    secrets = derive_secrets(shared_secrets, t.digest())
 
     # Each frame goes out as soon as it exists, so the client validates
     # the chain while the server signs CertificateVerify.

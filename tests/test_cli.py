@@ -59,6 +59,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert err.value.code == EXIT_USAGE
     assert capsys.readouterr().err.endswith("error: argument --select: expected at least one argument\n")
     assert not (tmp_path / "none").exists()
+    # a repeated `--select` keeps the ids of each
+    ids = ["x25519__leaf_mldsa65", "mlkem768__ml_root__ml_leaf", "x25519__ml_root__ml_leaf"]
+    args = build_parser().parse_args(["provision", "--select", *ids[:2], "--select", ids[2]])
+    assert args.select == ids
 
 
 @pytest.mark.parametrize(
@@ -106,8 +110,9 @@ def test_select_and_campaign_are_exclusive(tmp_path, capsys, command):
     [
         ["--select", "x25519__leaf_mldsa65", "x25519__leaf_mldsa65"],
         ["--select", "x25519__ml_root__ml_leaf", "x25519__leaf_mldsa65"],  # one hierarchy
+        ["--select", "x25519__leaf_mldsa65", "--select", "x25519__leaf_mldsa65"],
     ],
-    ids=["same_id", "two_spellings"],
+    ids=["same_id", "two_spellings", "repeated_option"],
 )
 @pytest.mark.parametrize("command", ["provision", "bench"])
 def test_selecting_a_scenario_twice_is_a_usage_error(tmp_path, capsys, command, selection):
@@ -377,6 +382,12 @@ def test_analyze_bad_config_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         assert f"{key}: " in err, err
+    # a key given twice is refused instead of the last line winning
+    for key in ("price_per_cpu_hour", "service_class.x"):
+        config.write_text(f"{key} = 1\n{key} = 2\n")
+        assert main([*argv, "--config", str(config)]) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: --config {config}: {key}: given twice", line
     assert main([*argv, "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
 
 

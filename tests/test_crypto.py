@@ -1,6 +1,8 @@
 import ctypes
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -422,14 +424,23 @@ class TestKex:
     def test_share_lengths_and_agreement(self, mode, client_len, server_len):
         share, state = backend.client_share(mode)
         assert len(share) == client_len == backend.client_share_len(mode)
-        server_share, srv_classical, srv_kem = backend.server_respond_kex(mode, share)
+        server_share, srv_secrets = backend.server_respond_kex(mode, share)
         assert len(server_share) == server_len == backend.server_share_len(mode)
-        cli_classical, cli_kem = backend.client_complete_kex(state, server_share)
-        assert cli_classical == srv_classical
-        assert cli_kem == srv_kem
-        present = [s for s in (cli_classical, cli_kem) if s is not None]
-        assert all(len(s) == 32 for s in present)
-        assert len(present) == (2 if mode is KexMode.HYBRID else 1)
+        cli_secrets = backend.client_complete_kex(state, server_share)
+        assert cli_secrets == srv_secrets
+        assert all(len(s) == 32 for s in cli_secrets)
+        assert len(cli_secrets) == (2 if mode is KexMode.HYBRID else 1)
+
+    @pytest.mark.parametrize("mode,digest", [
+        (KexMode.CLASSICAL, "94f4b49b8d86be27bc13068a2d1cae5adf3d9bd9eea95c69ad02ce240b6ef819"),
+        (KexMode.HYBRID, "783613cafbc4ee80e58767ada5d3ed53f27874b6fd4d825f5c90b8f99229a017"),
+        (KexMode.PURE_PQC, "d7f8b7ffeac98ec6f224641abc1a237bb25b8846dc37477be2a6f44c69ac2f81"),
+    ], ids=["x25519", "x25519mlkem768", "mlkem768"])
+    def test_client_share_known_answer(self, mode, digest):
+        """A seeded client share is pinned: each component's share in turn, X25519's key from
+        the first 32 bytes ``rng`` draws and ML-KEM's seed from the next 64."""
+        share, _ = backend.client_share(mode, random.Random(7).randbytes)
+        assert hashlib.sha256(share).hexdigest() == digest
 
     def test_wrong_share_length_rejected(self):
         with pytest.raises(backend.CryptoError):

@@ -84,13 +84,20 @@ def test_bytes_accounting_deterministic(ml_d3_hierarchy):
 
 def test_master_secret_domain_separation():
     th = hashlib.sha256(b"transcript").digest()
-    classical = hs.derive_secrets(b"\x01" * 32, None, th)
-    kem = hs.derive_secrets(None, b"\x02" * 32, th)
-    hybrid = hs.derive_secrets(b"\x01" * 32, b"\x02" * 32, th)
+    classical = hs.derive_secrets((b"\x01" * 32,), th)
+    kem = hs.derive_secrets((b"\x02" * 32,), th)
+    hybrid = hs.derive_secrets((b"\x01" * 32, b"\x02" * 32), th)
     assert len({classical.master_secret, kem.master_secret, hybrid.master_secret}) == 3
     # absent component contributes nothing rather than zero padding
-    zero_padded = hs.derive_secrets(b"\x01" * 32, b"\x00" * 32, th)
+    zero_padded = hs.derive_secrets((b"\x01" * 32, b"\x00" * 32), th)
     assert zero_padded.master_secret != classical.master_secret
+
+
+def test_master_secret_known_answer():
+    """The master secret of two component secrets is pinned: SHA256("ms" || 01..01 || 02..02 || th)."""
+    secrets = hs.derive_secrets((b"\x01" * 32, b"\x02" * 32), bytes(32))
+    assert secrets.master_secret.hex() == (
+        "093400e34d90de178f9ef55bffb420d9f50fa628ce42c14d9895f39f2de87268")
 
 
 def test_tamper_certificate_rejected(ml_d3_hierarchy):
